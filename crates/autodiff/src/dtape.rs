@@ -25,7 +25,8 @@
 //! both the tangent solve `x_eps = A⁻¹ b_eps` and the two adjoint solves
 //! `s_re = A⁻ᵀ ȳ_re`, `s_eps = A⁻ᵀ ȳ_eps` reuse the *same* factorization
 //! held by the [`LinearBackend`] — an HVP through the discretised solver
-//! costs four triangular solves and **zero** refactorizations.
+//! costs four triangular solves, batched as two two-column sweeps, and
+//! **zero** refactorizations.
 //!
 //! [`hvp`] is the one-call entry point: seed a leaf with `(c, v)`, record the
 //! objective, sweep once, and read `(J, ∇J, H·v)`.
@@ -34,6 +35,12 @@ use crate::tensor::{self, Tensor};
 use linalg::{DVec, LinalgError, LinearBackend};
 use std::cell::RefCell;
 use std::sync::Arc;
+
+/// Unpacks the `(re, eps)` answers of a two-column batched solve.
+fn solve_pair(x: Vec<DVec>) -> [DVec; 2] {
+    x.try_into()
+        .expect("a batched solve returns one answer per column")
+}
 
 /// Operations the dual tape can record. A deliberate subset of the real
 /// tape's vocabulary: what the control objectives and their tests need.
@@ -130,15 +137,20 @@ impl DualTape {
     /// Differentiable linear solve against a **constant** prepared operator,
     /// the dual analogue of [`crate::tape::Tape::solve_backend`]. The
     /// tangent solve `x_eps = A⁻¹ b_eps` and both reverse-sweep transpose
-    /// solves reuse the backend's existing factorization.
+    /// solves reuse the backend's existing factorization. The `(re, eps)`
+    /// parts are independent right-hand sides, so each direction solves
+    /// them as one batch ([`LinearBackend::solve_many`] forward,
+    /// [`LinearBackend::solve_transpose_many`] backward) — one sweep over
+    /// the dense factors instead of two, with the bits of two separate
+    /// solves.
     pub fn solve_backend<'t>(
         &'t self,
         be: &Arc<dyn LinearBackend>,
         b: DVar<'t>,
     ) -> Result<DVar<'t>, LinalgError> {
         let (bre, beps) = self.parts_of(b.idx);
-        let xre = be.solve(&tensor::to_dvec(&bre))?;
-        let xeps = be.solve(&tensor::to_dvec(&beps))?;
+        let [xre, xeps] =
+            solve_pair(be.solve_many(&[tensor::to_dvec(&bre), tensor::to_dvec(&beps)])?);
         let idx = self.push(
             DOp::SolveConst {
                 be: Arc::clone(be),
@@ -314,13 +326,12 @@ impl DualTape {
                     acc(&mut adj, *a, dre, deps);
                 }
                 DOp::SolveConst { be, b } => {
-                    // b̄ += A⁻ᵀ ḡ, part by part, on the cached factorization.
-                    let sre = be
-                        .solve_transpose(&tensor::to_dvec(&gre))
-                        .expect("dual solve backward");
-                    let seps = be
-                        .solve_transpose(&tensor::to_dvec(&geps))
-                        .expect("dual solve backward");
+                    // b̄ += A⁻ᵀ ḡ for both parts in one batch, on the
+                    // cached factorization.
+                    let [sre, seps] = solve_pair(
+                        be.solve_transpose_many(&[tensor::to_dvec(&gre), tensor::to_dvec(&geps)])
+                            .expect("dual solve backward"),
+                    );
                     acc(
                         &mut adj,
                         *b,

@@ -9,14 +9,18 @@
 //!
 //! Per kernel the snapshot carries `<kernel>.median_ns`, `<kernel>.nodes`
 //! (problem size) and `<kernel>.iters` (timed repetitions), plus the global
-//! `threads` scalar and two derived ratios: `dal_laplace_factor_reuse_speedup`
+//! `threads` scalar and the derived ratios `dal_laplace_factor_reuse_speedup`
 //! — the cached-factorisation DAL iteration versus the refactor-every-call
 //! baseline (`cost_and_grad_dal_uncached`) — `newton_vs_adam_iter` — how
 //! many times fewer outer iterations Newton-CG needs than Adam to reach the
 //! Adam-DAL final cost on the fig. 3 Laplace problem (hard-gated at ≥ 5×) —
-//! and `neural_op_vs_dp_eval` — one frozen-surrogate cost + gradient versus
+//! `neural_op_vs_dp_eval` — one frozen-surrogate cost + gradient versus
 //! one DP solve-and-differentiate iteration (hard-gated at ≥ 10×; the
-//! amortization claim behind `Strategy::NeuralOp`).
+//! amortization claim behind `Strategy::NeuralOp`) — and
+//! `lu_solve_many_w2_vs_loop` — two standalone `Lu::solve` calls versus one
+//! two-column `Lu::solve_many` on the same factors (hard-gated at ≥ 1×:
+//! batching the paired solves of the HVP and DAL Newton paths must never
+//! lose).
 //!
 //! The suite additionally sweeps the blocked dense kernels (`lu_factor`,
 //! `matmul`, `gmres_ilu0_laplace`) over pool widths {1, 2, 8}, recording
@@ -83,6 +87,8 @@ use std::process::ExitCode;
 const REQUIRED_KERNELS: &[&str] = &[
     "lu_factor",
     "lu_solve",
+    "lu_solve_transpose",
+    "lu_solve_many_w2",
     "matmul",
     "spmv",
     "rbf_fd_assembly",
@@ -116,6 +122,10 @@ const LU_FACTOR_BASELINE_NS: f64 = 8.713273e6;
 /// Required single-thread improvement of the tiled LU over
 /// [`LU_FACTOR_BASELINE_NS`].
 const LU_T1_IMPROVEMENT: f64 = 1.5;
+
+/// Floor of `lu_solve_many_w2_vs_loop`: one batched two-RHS
+/// `Lu::solve_many` must be no slower than two `Lu::solve` calls.
+const LU_SOLVE_MANY_W2_VS_LOOP: f64 = 1.0;
 
 /// Scaling floor for `lu_factor_speedup_8t`, derived from the measuring
 /// machine's core count: `max(0.5, 0.25 · min(8, host_threads))`. On an
@@ -348,6 +358,38 @@ fn run_suite(sz: &Sizes) -> GoldenSnapshot {
             std::hint::black_box(&x);
         }),
     );
+    snap = record(
+        snap,
+        "lu_solve_transpose",
+        n,
+        time_kernel(sz.warmup, sz.reps.max(15), || {
+            let x = lu.solve_transpose(&b).expect("lu_solve_transpose");
+            std::hint::black_box(&x);
+        }),
+    );
+    // Two right-hand sides, batched versus two standalone solves: the
+    // pairing the HVP and DAL Newton paths rely on must never lose.
+    let pair = [b.clone(), DVec::from_fn(n, |i| (i as f64 * 0.23).cos())];
+    let many_w2 = time_kernel(sz.warmup, sz.reps.max(15), || {
+        let xs = lu.solve_many(&pair).expect("lu_solve_many_w2");
+        std::hint::black_box(&xs);
+    });
+    snap = record(snap, "lu_solve_many_w2", n, many_w2);
+    let loop_w2 = time_kernel(sz.warmup, sz.reps.max(15), || {
+        for rhs in &pair {
+            let x = lu.solve(rhs).expect("lu_solve loop");
+            std::hint::black_box(&x);
+        }
+    });
+    let w2_vs_loop = loop_w2.median_ns as f64 / many_w2.median_ns.max(1) as f64;
+    println!("{:>28}  {w2_vs_loop:.2}x", "solve_many w2 vs loop");
+    assert!(
+        w2_vs_loop >= LU_SOLVE_MANY_W2_VS_LOOP,
+        "batched two-RHS solve must be no slower than two solve calls \
+         (measured {w2_vs_loop:.2}x)"
+    );
+    snap = snap.scalar("lu_solve_many_w2_vs_loop", w2_vs_loop);
+
     let mut bm = DMat::zeros(n, n);
     rng.fill_uniform(bm.as_mut_slice(), -1.0..1.0);
     snap = record(
@@ -709,6 +751,13 @@ fn verify_snapshot(text: &str) -> Vec<String> {
         Some(v) if !v.is_finite() || v < 5.0 => {
             problems.push(format!("serve_cache_hit_speedup {v} is below the 5x gate"))
         }
+        Some(_) => {}
+    }
+    match snap.get_scalar("lu_solve_many_w2_vs_loop") {
+        None => problems.push("missing scalar: lu_solve_many_w2_vs_loop".to_string()),
+        Some(v) if !v.is_finite() || v < LU_SOLVE_MANY_W2_VS_LOOP => problems.push(format!(
+            "lu_solve_many_w2_vs_loop {v} is below the {LU_SOLVE_MANY_W2_VS_LOOP}x gate"
+        )),
         Some(_) => {}
     }
     match snap.get_scalar("newton_vs_adam_iter") {

@@ -100,20 +100,14 @@ pub struct LaplaceRun {
 ///   gradient is affine in the control — so the Newton system solved is
 ///   `J_dal p = −g_dal`, whose fixed point is the DAL stationary point.
 ///
-/// Every query reuses the problem's cached factorization.
+/// Every query reuses the problem's cached factorization, and each one
+/// batches its independent solves: the DAL pair `c ± h·v` goes through
+/// [`LaplaceControlProblem::cost_and_grad_dal_many`], the exact HVP through
+/// the dual tape's paired `(re, eps)` solves.
 struct LaplaceOracle<'a> {
     problem: &'a LaplaceControlProblem,
     method: GradMethod,
     x: DVec,
-}
-
-impl LaplaceOracle<'_> {
-    /// The weighted DAL gradient (what a second-order DAL run steps on).
-    fn dal_weighted_grad(&self, c: &DVec) -> Option<DVec> {
-        let (_, g) = self.problem.cost_and_grad_dal(c).ok()?;
-        let w = self.problem.quad_weights();
-        Some(DVec::from_fn(g.len(), |i| w[i] * g[i]))
-    }
 }
 
 impl CurvatureOracle for LaplaceOracle<'_> {
@@ -125,9 +119,14 @@ impl CurvatureOracle for LaplaceOracle<'_> {
                 cp.axpy(h, v);
                 let mut cm = self.x.clone();
                 cm.axpy(-h, v);
-                let gp = self.dal_weighted_grad(&cp)?;
-                let gm = self.dal_weighted_grad(&cm)?;
-                DVec::from_fn(gp.len(), |i| (gp[i] - gm[i]) / (2.0 * h))
+                // Both gradients in one batch: the pair's forward and
+                // adjoint solves each share one sweep over the factors.
+                let pair = self.problem.cost_and_grad_dal_many(&[cp, cm]).ok()?;
+                let (gp, gm) = (&pair[0].1, &pair[1].1);
+                // The weighted DAL gradient is what a second-order DAL run
+                // steps on.
+                let w = self.problem.quad_weights();
+                DVec::from_fn(gp.len(), |i| (w[i] * gp[i] - w[i] * gm[i]) / (2.0 * h))
             }
             GradMethod::Dp | GradMethod::FiniteDiff => {
                 let (_, _, hv) = self.problem.cost_grad_hvp(&self.x, v).ok()?;

@@ -16,10 +16,12 @@
 //!   so node counts far beyond the dense ceiling become tractable.
 //!
 //! Both sides satisfy the same four operations: `solve`, `solve_transpose`
-//! (adjoints), `dim` and `memory_bytes`. Every sparse solve reports its
-//! iteration count and final residual through the `"linsolve"` trace layer,
-//! so a campaign sweep over `backend ∈ {DenseLu, SparseGmres}` records
-//! solver effort alongside cost histories.
+//! (adjoints), `dim` and `memory_bytes`, plus the batched `solve_many` /
+//! `solve_transpose_many`, which loop by default and are blocked on the
+//! dense side. Every sparse solve reports its iteration count and final
+//! residual through the `"linsolve"` trace layer, so a campaign sweep over
+//! `backend ∈ {DenseLu, SparseGmres}` records solver effort alongside cost
+//! histories.
 
 use crate::error::Result;
 use crate::factor::Lu;
@@ -78,6 +80,13 @@ pub trait LinearBackend: Send + Sync {
     }
     /// Solves `Aᵀ x = b` (the adjoint/backward solve).
     fn solve_transpose(&self, b: &DVec) -> Result<DVec>;
+    /// Solves `Aᵀ xₖ = bₖ` for a batch of right-hand sides: the adjoint
+    /// twin of [`LinearBackend::solve_many`], with the same default (one
+    /// [`LinearBackend::solve_transpose`] per column), the same dense
+    /// override and the same bitwise contract against the loop.
+    fn solve_transpose_many(&self, rhs: &[DVec]) -> Result<Vec<DVec>> {
+        rhs.iter().map(|b| self.solve_transpose(b)).collect()
+    }
     /// Bytes held by the prepared operator (factors, sparse pattern,
     /// preconditioner) — what the DP tape charges per retained solve node.
     fn memory_bytes(&self) -> usize;
@@ -98,6 +107,9 @@ impl LinearBackend for Lu {
     }
     fn solve_transpose(&self, b: &DVec) -> Result<DVec> {
         Lu::solve_transpose(self, b)
+    }
+    fn solve_transpose_many(&self, rhs: &[DVec]) -> Result<Vec<DVec>> {
+        Lu::solve_transpose_many(self, rhs)
     }
     fn memory_bytes(&self) -> usize {
         let n = Lu::dim(self);

@@ -23,9 +23,12 @@
 //!   ([`dot8`]): eight independent partial sums the compiler keeps in
 //!   SIMD registers, combined in a fixed tree. Eight lanes = one AVX-512
 //!   register or two AVX2 registers of `f64`.
-//! * [`MULTI_RHS_BLOCK`] — column width of `Lu::solve_many`'s blocked
-//!   substitution: wide enough to amortize streaming the `n²` factors,
-//!   small enough that the `n×block` working set stays cache-resident.
+//! * [`MULTI_RHS_BLOCK`] — widest column block of `Lu::solve_many` /
+//!   `Lu::solve_transpose_many`. Each block width `W ≤ MULTI_RHS_BLOCK`
+//!   has its own const-generic kernel whose per-row accumulators are a
+//!   `[f64; W]` held in registers: the `n²` factors stream through cache
+//!   once per block, and the block's `W` independent substitution chains
+//!   overlap instead of running back to back.
 //! * [`PAR_BLOCKS`] — every parallel kernel decomposes its row range
 //!   into *at most this many* fixed blocks (`rows.div_ceil(PAR_BLOCKS)`
 //!   rows each), so chunk boundaries depend only on the problem size,
@@ -46,8 +49,12 @@ pub const MULAD_UNROLL: usize = 4;
 /// Accumulator lanes of the chunks-of-8 [`dot8`] kernel.
 pub const SIMD_LANES: usize = 8;
 
-/// Column-block width of `Lu::solve_many` (formerly
-/// `Lu::MULTI_RHS_BLOCK`, which now re-exports this).
+/// Widest column block of the register-blocked multi-RHS substitution
+/// (`Lu::solve_many`, `Lu::solve_transpose_many`; re-exported as
+/// `Lu::MULTI_RHS_BLOCK`). Batches are cut into chunks of this width and
+/// each chunk runs the kernel compiled for its exact width `1..=8`, so
+/// `8` accumulators per row is the most a kernel keeps live — within the
+/// vector-register budget of every target.
 pub const MULTI_RHS_BLOCK: usize = 8;
 
 /// Maximum fixed block count of every parallel row decomposition

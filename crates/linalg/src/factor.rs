@@ -1,6 +1,6 @@
 //! Dense factorizations: LU with partial pivoting, Cholesky, Householder QR.
 
-use crate::blocking::{fused_axpy4, LU_TILE, MULAD_UNROLL, PAR_BLOCKS};
+use crate::blocking::{fused_axpy4, LU_TILE, MULAD_UNROLL, MULTI_RHS_BLOCK, PAR_BLOCKS};
 use crate::dense::DMat;
 use crate::error::{LinalgError, Result};
 use crate::vector::DVec;
@@ -94,34 +94,12 @@ impl Lu {
     /// multi-RHS solves) to avoid a fresh allocation per solve. Produces the
     /// same bits as [`Lu::solve`].
     pub fn solve_into(&self, b: &DVec, x: &mut DVec) -> Result<()> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "lu_solve",
-                got: (b.len(), 1),
-                expected: (n, 1),
-            });
-        }
+        self.check_rhs(b, "lu_solve")?;
         // Apply permutation, then forward (L, unit diag) and back (U) subs.
-        x.0.resize(n, 0.0);
-        for i in 0..n {
-            x.0[i] = b[self.perm[i]];
-        }
-        for i in 1..n {
-            let mut s = x[i];
-            for (j, &lij) in self.lu.row(i)[..i].iter().enumerate() {
-                s -= lij * x[j];
-            }
-            x[i] = s;
-        }
-        for i in (0..n).rev() {
-            let mut s = x[i];
-            let row = self.lu.row(i);
-            for j in i + 1..n {
-                s -= row[j] * x[j];
-            }
-            x[i] = s / row[i];
-        }
+        x.0.clear();
+        x.0.extend(self.perm.iter().map(|&p| b[p]));
+        lower_unit_forward::<1, 4>(&self.lu, &mut x.0);
+        upper_backward::<1>(&self.lu, &mut x.0);
         Ok(())
     }
 
@@ -132,103 +110,120 @@ impl Lu {
     /// of the already-factored forward operator, so a run never pays for a
     /// second factorization.
     pub fn solve_transpose(&self, b: &DVec) -> Result<DVec> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "lu_solve_t",
-                got: (b.len(), 1),
-                expected: (n, 1),
-            });
-        }
-        let mut y = b.clone();
-        // Forward substitution with Uᵀ (lower triangular, non-unit diag).
-        for i in 0..n {
-            let mut s = y[i];
-            for j in 0..i {
-                s -= self.lu[(j, i)] * y[j];
-            }
-            y[i] = s / self.lu[(i, i)];
-        }
-        // Back substitution with Lᵀ (upper triangular, unit diag).
-        for i in (0..n).rev() {
-            let mut s = y[i];
-            for j in i + 1..n {
-                s -= self.lu[(j, i)] * y[j];
-            }
-            y[i] = s;
-        }
+        self.check_rhs(b, "lu_solve_t")?;
+        let mut y = b.0.clone();
+        upper_t_forward::<1>(&self.lu, &mut y);
+        lower_t_backward::<1>(&self.lu, &mut y);
         // Undo the permutation: x[perm[i]] = y[i].
-        let mut x = DVec::zeros(n);
-        for i in 0..n {
-            x[self.perm[i]] = y[i];
+        let mut x = DVec::zeros(y.len());
+        for (&p, &v) in self.perm.iter().zip(&y) {
+            x[p] = v;
         }
         Ok(x)
     }
 
-    /// Solves `A xₖ = bₖ` for a batch of right-hand sides with blocked
-    /// forward/back substitution: the factors stream through cache once
-    /// per block of [`Lu::MULTI_RHS_BLOCK`] columns instead of once per
-    /// column, which is where the serve batcher's coalesced same-operator
-    /// requests win their throughput.
+    /// Solves `A xₖ = bₖ` for a batch of right-hand sides with
+    /// register-blocked substitution: each block of up to
+    /// [`Lu::MULTI_RHS_BLOCK`] columns is swept together, so the factors
+    /// stream through cache once per block instead of once per column and
+    /// the block's independent dependency chains overlap in the pipeline.
+    /// This is where the serve batcher's coalesced same-operator requests
+    /// and the paired solves of the HVP and finite-difference paths win
+    /// their throughput.
     ///
     /// Bitwise contract: every column's floating-point operation sequence
     /// is identical to a standalone [`Lu::solve`] of that column (columns
     /// are data-independent; blocking only reorders *between* columns),
     /// so batched and one-at-a-time answers match exactly.
     pub fn solve_many(&self, rhs: &[DVec]) -> Result<Vec<DVec>> {
+        self.solve_blocks(rhs, false, "lu_solve_many")
+    }
+
+    /// Solves `Aᵀ xₖ = bₖ` for a batch of right-hand sides: the transpose
+    /// twin of [`Lu::solve_many`], with the same register-blocked kernels
+    /// and the same bitwise contract against a standalone
+    /// [`Lu::solve_transpose`] of each column.
+    pub fn solve_transpose_many(&self, rhs: &[DVec]) -> Result<Vec<DVec>> {
+        self.solve_blocks(rhs, true, "lu_solve_t_many")
+    }
+
+    fn check_rhs(&self, b: &DVec, op: &'static str) -> Result<()> {
         let n = self.dim();
+        if b.len() != n {
+            return Err(LinalgError::ShapeMismatch {
+                op,
+                got: (b.len(), 1),
+                expected: (n, 1),
+            });
+        }
+        Ok(())
+    }
+
+    /// Shared body of [`Lu::solve_many`] and [`Lu::solve_transpose_many`]:
+    /// validates every column, then dispatches each chunk of at most
+    /// [`Lu::MULTI_RHS_BLOCK`] columns to the kernel of its exact width.
+    fn solve_blocks(&self, rhs: &[DVec], transpose: bool, op: &'static str) -> Result<Vec<DVec>> {
         for b in rhs {
-            if b.len() != n {
-                return Err(LinalgError::ShapeMismatch {
-                    op: "lu_solve_many",
-                    got: (b.len(), 1),
-                    expected: (n, 1),
-                });
-            }
+            self.check_rhs(b, op)?;
         }
         let mut out = Vec::with_capacity(rhs.len());
         for block in rhs.chunks(Lu::MULTI_RHS_BLOCK) {
-            let w = block.len();
-            // Row-major n×w working block: x[i*w + c] is row i of column c.
-            let mut x = vec![0.0; n * w];
-            for (c, b) in block.iter().enumerate() {
-                for i in 0..n {
-                    x[i * w + c] = b[self.perm[i]];
-                }
-            }
-            // Forward substitution with unit-diagonal L, all columns per row.
-            for i in 1..n {
-                let (head, tail) = x.split_at_mut(i * w);
-                let xi = &mut tail[..w];
-                for (j, &lij) in self.lu.row(i)[..i].iter().enumerate() {
-                    let xj = &head[j * w..(j + 1) * w];
-                    for c in 0..w {
-                        xi[c] -= lij * xj[c];
-                    }
-                }
-            }
-            // Back substitution with U.
-            for i in (0..n).rev() {
-                let row = self.lu.row(i);
-                let (head, tail) = x.split_at_mut((i + 1) * w);
-                let xi = &mut head[i * w..];
-                for j in i + 1..n {
-                    let uij = row[j];
-                    let xj = &tail[(j - i - 1) * w..(j - i) * w];
-                    for c in 0..w {
-                        xi[c] -= uij * xj[c];
-                    }
-                }
-                let d = row[i];
-                for v in xi.iter_mut() {
-                    *v /= d;
-                }
-            }
-            for c in 0..w {
-                out.push(DVec::from_fn(n, |i| x[i * w + c]));
-            }
+            let cols = match block.len() {
+                1 => self.solve_block::<1, 4>(block, transpose),
+                2 => self.solve_block::<2, 4>(block, transpose),
+                3 => self.solve_block::<3, 2>(block, transpose),
+                4 => self.solve_block::<4, 2>(block, transpose),
+                5 => self.solve_block::<5, 1>(block, transpose),
+                6 => self.solve_block::<6, 1>(block, transpose),
+                7 => self.solve_block::<7, 1>(block, transpose),
+                8 => self.solve_block::<8, 1>(block, transpose),
+                w => unreachable!("multi-RHS block of width {w}"),
+            };
+            out.extend(cols);
         }
         Ok(out)
+    }
+
+    /// One `W`-column block: gathers the columns into a row-major `n × W`
+    /// working block (`x[i*W + c]` is row `i` of column `c`), runs both
+    /// triangular sweeps with `W`-wide register accumulators (`R` rows
+    /// interleaved in the unit-lower forward sweep), and scatters back.
+    fn solve_block<const W: usize, const R: usize>(
+        &self,
+        block: &[DVec],
+        transpose: bool,
+    ) -> Vec<DVec> {
+        let n = self.dim();
+        let mut x = vec![0.0; n * W];
+        if transpose {
+            for (c, b) in block.iter().enumerate() {
+                for (xi, &bi) in x.chunks_exact_mut(W).zip(b.iter()) {
+                    xi[c] = bi;
+                }
+            }
+            upper_t_forward::<W>(&self.lu, &mut x);
+            lower_t_backward::<W>(&self.lu, &mut x);
+            (0..W)
+                .map(|c| {
+                    let mut v = DVec::zeros(n);
+                    for (&p, xi) in self.perm.iter().zip(x.chunks_exact(W)) {
+                        v[p] = xi[c];
+                    }
+                    v
+                })
+                .collect()
+        } else {
+            for (c, b) in block.iter().enumerate() {
+                for (xi, &p) in x.chunks_exact_mut(W).zip(&self.perm) {
+                    xi[c] = b[p];
+                }
+            }
+            lower_unit_forward::<W, R>(&self.lu, &mut x);
+            upper_backward::<W>(&self.lu, &mut x);
+            (0..W)
+                .map(|c| DVec(x.chunks_exact(W).map(|xi| xi[c]).collect()))
+                .collect()
+        }
     }
 
     /// Column-block width of [`Lu::solve_many`]; see
@@ -317,6 +312,143 @@ impl Lu {
             x[jmax] = 1.0;
         }
         norm1_a * est
+    }
+}
+
+// The dense triangular sweeps.
+//
+// Each kernel works on a row-major `n × W` block `x` (`x[i*W + c]` is
+// unknown `i` of right-hand side `c`; `W = 1` is a plain vector) and keeps
+// per-unknown accumulators in `[f64; W]` registers. Substitution is
+// latency-bound — every unknown is one serial `s -= a·x` chain — so the
+// kernels overlap *independent* chains (the `W` columns, and in the
+// prefix-sweeps several rows or every pending column) without ever
+// changing the order in which one unknown's subtractions happen. That is
+// the whole bitwise argument (DESIGN.md §16): each unknown still starts
+// from its right-hand-side value, subtracts `a_ij·x_j` for `j` ascending
+// and divides by the pivot last, exactly as a textbook scalar loop does.
+
+// The solve_blocks dispatch covers widths 1..=8.
+const _: () = assert!(MULTI_RHS_BLOCK == 8);
+
+/// `L x = b` with unit-diagonal `L` (strictly below the diagonal of
+/// `lu`), `R` rows at a time.
+fn lower_unit_forward<const W: usize, const R: usize>(lu: &DMat, x: &mut [f64]) {
+    let n = lu.nrows();
+    let mut i = 0;
+    while i + R <= n {
+        lower_rows::<W, R>(lu, x, i);
+        i += R;
+    }
+    for i in i..n {
+        lower_rows::<W, 1>(lu, x, i);
+    }
+}
+
+/// Rows `i..i+R` of the unit-lower forward sweep. Every one of these rows
+/// depends only on the already-final unknowns `0..i` over their common
+/// prefix, so the `R·W` chains advance together through it; the small
+/// `R×R` triangle is then finished row by row, each row consuming the
+/// rows above it in ascending order.
+#[inline(always)]
+fn lower_rows<const W: usize, const R: usize>(lu: &DMat, x: &mut [f64], i: usize) {
+    let (done, rest) = x.split_at_mut(i * W);
+    let rows: [&[f64]; R] = std::array::from_fn(|k| &lu.row(i + k)[..i]);
+    let mut acc: [[f64; W]; R] = std::array::from_fn(|k| {
+        let mut a = [0.0; W];
+        a.copy_from_slice(&rest[k * W..(k + 1) * W]);
+        a
+    });
+    for (j, xj) in done.chunks_exact(W).enumerate() {
+        for k in 0..R {
+            let l = rows[k][j];
+            for c in 0..W {
+                acc[k][c] -= l * xj[c];
+            }
+        }
+    }
+    for k in 1..R {
+        let tri = &lu.row(i + k)[i..i + k];
+        for (t, &l) in tri.iter().enumerate() {
+            let xt = acc[t];
+            for c in 0..W {
+                acc[k][c] -= l * xt[c];
+            }
+        }
+    }
+    for (k, a) in acc.iter().enumerate() {
+        rest[k * W..(k + 1) * W].copy_from_slice(a);
+    }
+}
+
+/// `U x = y` (upper triangle of `lu`, including the diagonal). Unknown `i`
+/// needs `x[i+1]` first, so rows cannot overlap; the `W` columns' chains do.
+fn upper_backward<const W: usize>(lu: &DMat, x: &mut [f64]) {
+    let n = lu.nrows();
+    for i in (0..n).rev() {
+        let row = lu.row(i);
+        let (head, tail) = x.split_at_mut((i + 1) * W);
+        let xi = &mut head[i * W..];
+        let mut acc = [0.0; W];
+        acc.copy_from_slice(xi);
+        for (&u, xj) in row[i + 1..].iter().zip(tail.chunks_exact(W)) {
+            for c in 0..W {
+                acc[c] -= u * xj[c];
+            }
+        }
+        let d = row[i];
+        for c in 0..W {
+            xi[c] = acc[c] / d;
+        }
+    }
+}
+
+/// `Uᵀ y = b`, in column-oriented (axpy) form: once unknown `j` is final,
+/// its contribution `U[j, i]·y[j]` is subtracted from every pending
+/// unknown `i > j` in one contiguous pass over row `j` of `U`. Unknown `i`
+/// thereby receives its subtractions for `j = 0, 1, …, i−1` in exactly the
+/// order of the row-oriented loop, while all pending chains advance
+/// together and the factors are read row-wise instead of one strided
+/// element per row.
+fn upper_t_forward<const W: usize>(lu: &DMat, x: &mut [f64]) {
+    let n = lu.nrows();
+    for j in 0..n {
+        let row = lu.row(j);
+        let (head, tail) = x.split_at_mut((j + 1) * W);
+        let xj = &mut head[j * W..];
+        let d = row[j];
+        for xc in xj.iter_mut() {
+            *xc /= d;
+        }
+        let mut v = [0.0; W];
+        v.copy_from_slice(xj);
+        for (&u, xi) in row[j + 1..].iter().zip(tail.chunks_exact_mut(W)) {
+            for c in 0..W {
+                xi[c] -= u * v[c];
+            }
+        }
+    }
+}
+
+/// `Lᵀ x = y` with unit-diagonal `L`: unknown `i` subtracts `L[j, i]·x[j]`
+/// for `j` ascending from `i + 1`, a strided walk down column `i`. Like
+/// [`upper_backward`], rows are serial and only the `W` columns overlap.
+fn lower_t_backward<const W: usize>(lu: &DMat, x: &mut [f64]) {
+    let n = lu.nrows();
+    let a = lu.as_slice();
+    for i in (0..n).rev() {
+        let (head, tail) = x.split_at_mut((i + 1) * W);
+        let xi = &mut head[i * W..];
+        let mut acc = [0.0; W];
+        acc.copy_from_slice(xi);
+        // Column i below the diagonal: a[(i+1)*n + i], a[(i+2)*n + i], …
+        for (j, xj) in (i + 1..n).zip(tail.chunks_exact(W)) {
+            let l = a[j * n + i];
+            for c in 0..W {
+                acc[c] -= l * xj[c];
+            }
+        }
+        xi.copy_from_slice(&acc);
     }
 }
 
@@ -767,6 +899,136 @@ mod tests {
             lu.solve_into(&b, &mut x).unwrap();
             assert_eq!(x.as_slice(), lu.solve(&b).unwrap().as_slice());
         }
+    }
+
+    /// The textbook row-oriented substitution loops the interleaved
+    /// kernels must reproduce bit for bit: permute, unit-lower forward,
+    /// upper backward, one serial `s -= a·x` chain per unknown.
+    fn reference_solve(lu: &Lu, b: &DVec) -> DVec {
+        let n = lu.dim();
+        let mut x = DVec::from_fn(n, |i| b[lu.perm[i]]);
+        for i in 1..n {
+            let mut s = x[i];
+            for j in 0..i {
+                s -= lu.lu[(i, j)] * x[j];
+            }
+            x[i] = s;
+        }
+        for i in (0..n).rev() {
+            let mut s = x[i];
+            for j in i + 1..n {
+                s -= lu.lu[(i, j)] * x[j];
+            }
+            x[i] = s / lu.lu[(i, i)];
+        }
+        x
+    }
+
+    /// Row-oriented `Aᵀ x = b` reference: Uᵀ forward, Lᵀ backward, then
+    /// the inverse permutation.
+    fn reference_solve_transpose(lu: &Lu, b: &DVec) -> DVec {
+        let n = lu.dim();
+        let mut y = b.clone();
+        for i in 0..n {
+            let mut s = y[i];
+            for j in 0..i {
+                s -= lu.lu[(j, i)] * y[j];
+            }
+            y[i] = s / lu.lu[(i, i)];
+        }
+        for i in (0..n).rev() {
+            let mut s = y[i];
+            for j in i + 1..n {
+                s -= lu.lu[(j, i)] * y[j];
+            }
+            y[i] = s;
+        }
+        let mut x = DVec::zeros(n);
+        for i in 0..n {
+            x[lu.perm[i]] = y[i];
+        }
+        x
+    }
+
+    fn bits(v: &DVec) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Sizes that hit every tail of the 4-row interleave (n mod 4 ∈
+    /// {0, 1, 2, 3}) plus sizes where pivoting genuinely permutes rows.
+    const KERNEL_SIZES: [usize; 10] = [1, 2, 3, 4, 5, 7, 8, 9, 33, 60];
+
+    fn kernel_rhs(n: usize, k: usize) -> DVec {
+        DVec::from_fn(n, |i| {
+            ((i * 7 + k * 13) % 23) as f64 * 0.37 - 3.1 + 1e-3 * k as f64
+        })
+    }
+
+    #[test]
+    fn single_rhs_kernels_match_the_scalar_reference_bitwise() {
+        for n in KERNEL_SIZES {
+            let lu = Lu::factor(&random_like_matrix(n, n as u64 + 5)).unwrap();
+            let mut x = DVec::full(3, 9.0); // stale contents, wrong length
+            for k in 0..3 {
+                let b = kernel_rhs(n, k);
+                let want = bits(&reference_solve(&lu, &b));
+                assert_eq!(bits(&lu.solve(&b).unwrap()), want, "solve n={n}");
+                lu.solve_into(&b, &mut x).unwrap();
+                assert_eq!(bits(&x), want, "solve_into n={n}");
+                assert_eq!(
+                    bits(&lu.solve_transpose(&b).unwrap()),
+                    bits(&reference_solve_transpose(&lu, &b)),
+                    "solve_transpose n={n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn multi_rhs_kernels_match_the_scalar_reference_bitwise() {
+        // Every const width 1..=MULTI_RHS_BLOCK, then full blocks plus
+        // every remainder up to 2·MULTI_RHS_BLOCK + 1.
+        for n in KERNEL_SIZES {
+            let lu = Lu::factor(&random_like_matrix(n, n as u64 + 17)).unwrap();
+            for width in 1..=2 * Lu::MULTI_RHS_BLOCK + 1 {
+                let rhs: Vec<DVec> = (0..width).map(|k| kernel_rhs(n, k)).collect();
+                let many = lu.solve_many(&rhs).unwrap();
+                let many_t = lu.solve_transpose_many(&rhs).unwrap();
+                assert_eq!((many.len(), many_t.len()), (width, width));
+                for (k, b) in rhs.iter().enumerate() {
+                    assert_eq!(
+                        bits(&many[k]),
+                        bits(&reference_solve(&lu, b)),
+                        "solve_many n={n} width={width} column={k}"
+                    );
+                    assert_eq!(
+                        bits(&many_t[k]),
+                        bits(&reference_solve_transpose(&lu, b)),
+                        "solve_transpose_many n={n} width={width} column={k}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_solves_of_an_empty_batch_are_empty() {
+        let lu = Lu::factor(&random_like_matrix(5, 2)).unwrap();
+        assert!(lu.solve_many(&[]).unwrap().is_empty());
+        assert!(lu.solve_transpose_many(&[]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn solve_transpose_many_rejects_wrong_length_rhs() {
+        let lu = Lu::factor(&random_like_matrix(6, 1)).unwrap();
+        let rhs = [DVec::zeros(6), DVec::zeros(5)];
+        assert!(matches!(
+            lu.solve_transpose_many(&rhs),
+            Err(LinalgError::ShapeMismatch {
+                op: "lu_solve_t_many",
+                ..
+            })
+        ));
     }
 
     /// Classic unblocked Gaussian elimination with partial pivoting — the

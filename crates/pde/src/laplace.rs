@@ -335,21 +335,23 @@ impl LaplaceControlProblem {
 
     /// Top-wall flux `∂u/∂y(x_i, 1)` for a coefficient vector.
     pub fn flux_top(&self, coeffs: &DVec) -> DVec {
-        self.dy_top
-            .matvec(&coeffs.clone())
-            .expect("flux_top: shape")
+        self.dy_top.matvec(coeffs).expect("flux_top: shape")
     }
 
     /// The discrete cost `J(c) = Σ wᵢ (flux(xᵢ) − cos πxᵢ)²`.
     pub fn cost(&self, c: &DVec) -> Result<f64, LinalgError> {
-        let coeffs = self.solve_coeffs(c)?;
-        let flux = self.flux_top(&coeffs);
+        Ok(self.misfit(&self.solve_coeffs(c)?))
+    }
+
+    /// `J` of a forward solution: the weighted top-wall flux misfit.
+    fn misfit(&self, coeffs: &DVec) -> f64 {
+        let flux = self.flux_top(coeffs);
         let mut j = 0.0;
         for i in 0..flux.len() {
             let d = flux[i] - self.target[(i, 0)];
             j += self.weights[i] * d * d;
         }
-        Ok(j)
+        j
     }
 
     /// Batched [`LaplaceControlProblem::cost`]: one objective value per
@@ -364,18 +366,7 @@ impl LaplaceControlProblem {
     pub fn cost_many(&self, controls: &[DVec]) -> Result<Vec<f64>, LinalgError> {
         let rhs: Vec<DVec> = controls.iter().map(|c| self.rhs(c)).collect();
         let coeffs = self.backend.solve_many(&rhs)?;
-        Ok(coeffs
-            .iter()
-            .map(|co| {
-                let flux = self.flux_top(co);
-                let mut j = 0.0;
-                for i in 0..flux.len() {
-                    let d = flux[i] - self.target[(i, 0)];
-                    j += self.weights[i] * d * d;
-                }
-                j
-            })
-            .collect())
+        Ok(coeffs.iter().map(|co| self.misfit(co)).collect())
     }
 
     /// Reassembles the collocation matrix and factors it from scratch — the
@@ -466,12 +457,43 @@ impl LaplaceControlProblem {
         self.dal_with(c, &self.refactored_lu()?)
     }
 
+    /// Batched [`LaplaceControlProblem::cost_and_grad_dal`]: one `(J, ∇J)`
+    /// per control, with the forward solves of every control batched into
+    /// one [`LinearBackend::solve_many`] and the adjoint solves into a
+    /// second. The DAL Newton-CG oracle differentiates the gradient field
+    /// at the pair `c ± h·v` through this: two two-column sweeps over the
+    /// dense factors instead of four single solves. Returns exactly the
+    /// bits of per-control `cost_and_grad_dal` calls (the backend's batched
+    /// contract).
+    pub fn cost_and_grad_dal_many(
+        &self,
+        controls: &[DVec],
+    ) -> Result<Vec<(f64, DVec)>, LinalgError> {
+        let rhs: Vec<DVec> = controls.iter().map(|c| self.rhs(c)).collect();
+        let coeffs = self.backend.solve_many(&rhs)?;
+        let (costs, adjoint_rhs): (Vec<f64>, Vec<DVec>) =
+            coeffs.iter().map(|co| self.dal_adjoint_rhs(co)).unzip();
+        let lambdas = self.backend.solve_many(&adjoint_rhs)?;
+        Ok(costs
+            .into_iter()
+            .zip(lambdas.iter().map(|l| self.flux_top(l)))
+            .collect())
+    }
+
     /// DAL forward + adjoint solves against an explicit backend (the
     /// continuous adjoint of the Laplacian is the Laplacian itself, so the
     /// same operator serves both solves — no transpose needed).
     fn dal_with(&self, c: &DVec, be: &dyn LinearBackend) -> Result<(f64, DVec), LinalgError> {
         let coeffs = be.solve(&self.rhs(c))?;
-        let flux = self.flux_top(&coeffs);
+        let (j, b) = self.dal_adjoint_rhs(&coeffs);
+        let lambda = be.solve(&b)?;
+        Ok((j, self.flux_top(&lambda)))
+    }
+
+    /// `J` of a forward solution together with the DAL adjoint's boundary
+    /// data `λ(x,1) = 2(∂u/∂y(x,1) − cos πx)` as a right-hand side.
+    fn dal_adjoint_rhs(&self, coeffs: &DVec) -> (f64, DVec) {
+        let flux = self.flux_top(coeffs);
         let mut j = 0.0;
         let mut b = DVec::zeros(self.size);
         for i in 0..flux.len() {
@@ -479,27 +501,28 @@ impl LaplaceControlProblem {
             j += self.weights[i] * d * d;
             b[self.top_idx[i]] = 2.0 * d;
         }
-        let lambda = be.solve(&b)?;
-        let grad = self.flux_top(&lambda);
-        Ok((j, grad))
+        (j, b)
     }
 
     /// **Finite-difference gradient** (central), the paper's footnote-11
-    /// baseline. `O(n_c)` forward solves; exact up to `O(h²)`.
+    /// baseline. `2·n_c + 1` forward solves, batched through
+    /// [`LaplaceControlProblem::cost_many`] over
+    /// `[c, c + h·e₀, c − h·e₀, c + h·e₁, …]`; exact up to `O(h²)`.
     pub fn cost_and_grad_fd(&self, c: &DVec, h: f64) -> Result<(f64, DVec), LinalgError> {
-        let j0 = self.cost(c)?;
-        let mut g = DVec::zeros(c.len());
-        let mut cp = c.clone();
+        let mut controls = Vec::with_capacity(2 * c.len() + 1);
+        controls.push(c.clone());
         for i in 0..c.len() {
-            let orig = cp[i];
-            cp[i] = orig + h;
-            let jp = self.cost(&cp)?;
-            cp[i] = orig - h;
-            let jm = self.cost(&cp)?;
-            cp[i] = orig;
-            g[i] = (jp - jm) / (2.0 * h);
+            for shifted in [c[i] + h, c[i] - h] {
+                let mut ci = c.clone();
+                ci[i] = shifted;
+                controls.push(ci);
+            }
         }
-        Ok((j0, g))
+        let costs = self.cost_many(&controls)?;
+        let g = DVec::from_fn(c.len(), |i| {
+            (costs[1 + 2 * i] - costs[2 + 2 * i]) / (2.0 * h)
+        });
+        Ok((costs[0], g))
     }
 
     /// Nodal field values `u` at all nodes for a solve result (the sparse
@@ -842,5 +865,92 @@ mod tests {
         let c1 = &c0 - &g.scaled(1e-2 / g.norm_inf().max(1e-12));
         let j1 = p.cost(&c1).unwrap();
         assert!(j1 < j0, "no sparse DAL descent: {j0:.3e} -> {j1:.3e}");
+    }
+
+    /// A dense backend that implements only the single-RHS solves, so the
+    /// batched entry points fall back to the trait's looping defaults.
+    struct LoopingLu(Lu);
+
+    impl LinearBackend for LoopingLu {
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+        fn kind(&self) -> BackendKind {
+            BackendKind::DenseLu
+        }
+        fn solve(&self, b: &DVec) -> Result<DVec, LinalgError> {
+            self.0.solve(b)
+        }
+        fn solve_transpose(&self, b: &DVec) -> Result<DVec, LinalgError> {
+            self.0.solve_transpose(b)
+        }
+        fn memory_bytes(&self) -> usize {
+            0
+        }
+    }
+
+    fn bits(v: &DVec) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn hvp_through_looping_trait_defaults_matches_the_blocked_lu_bitwise() {
+        let blocked = problem();
+        let mut looping = problem();
+        looping.backend = Arc::new(LoopingLu((*blocked.dense_parts().lu).clone()));
+        let n = blocked.n_controls();
+        let c = DVec::from_fn(n, |i| 0.2 * (i as f64 * 0.9).sin());
+        let v = DVec::from_fn(n, |i| (i as f64 * 0.4).cos());
+        let (ja, ga, hva) = blocked.cost_grad_hvp(&c, &v).unwrap();
+        let (jb, gb, hvb) = looping.cost_grad_hvp(&c, &v).unwrap();
+        assert_eq!(ja.to_bits(), jb.to_bits());
+        assert_eq!(bits(&ga), bits(&gb));
+        assert_eq!(bits(&hva), bits(&hvb));
+    }
+
+    #[test]
+    fn batched_dal_gradients_match_per_control_calls_bitwise() {
+        for p in [problem(), LaplaceControlProblem::new_sparse(10).unwrap()] {
+            let n = p.n_controls();
+            let controls: Vec<DVec> = (0..3)
+                .map(|k| DVec::from_fn(n, |i| 0.1 * (i as f64 + 2.1 * k as f64).sin()))
+                .collect();
+            let batched = p.cost_and_grad_dal_many(&controls).unwrap();
+            assert_eq!(batched.len(), controls.len());
+            for (c, (j, g)) in controls.iter().zip(&batched) {
+                let (j1, g1) = p.cost_and_grad_dal(c).unwrap();
+                assert_eq!(j.to_bits(), j1.to_bits());
+                assert_eq!(bits(g), bits(&g1));
+            }
+        }
+    }
+
+    /// The per-component central-difference loop the batched
+    /// `cost_and_grad_fd` replaced: `2·n_c + 1` separate `cost` calls.
+    fn fd_gradient_one_cost_at_a_time(p: &LaplaceControlProblem, c: &DVec, h: f64) -> (f64, DVec) {
+        let j0 = p.cost(c).unwrap();
+        let mut g = DVec::zeros(c.len());
+        let mut cp = c.clone();
+        for i in 0..c.len() {
+            let orig = cp[i];
+            cp[i] = orig + h;
+            let jp = p.cost(&cp).unwrap();
+            cp[i] = orig - h;
+            let jm = p.cost(&cp).unwrap();
+            cp[i] = orig;
+            g[i] = (jp - jm) / (2.0 * h);
+        }
+        (j0, g)
+    }
+
+    #[test]
+    fn batched_fd_gradient_matches_the_per_component_loop_bitwise() {
+        for p in [problem(), LaplaceControlProblem::new_sparse(10).unwrap()] {
+            let c = DVec::from_fn(p.n_controls(), |i| 0.3 * (i as f64 * 0.5).cos());
+            let (j, g) = p.cost_and_grad_fd(&c, 1e-6).unwrap();
+            let (j1, g1) = fd_gradient_one_cost_at_a_time(&p, &c, 1e-6);
+            assert_eq!(j.to_bits(), j1.to_bits(), "{:?}", p.backend_kind());
+            assert_eq!(bits(&g), bits(&g1), "{:?}", p.backend_kind());
+        }
     }
 }

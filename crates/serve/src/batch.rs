@@ -9,7 +9,10 @@
 //! batching window, the worker drains them together and calls
 //! [`cost_many`], which forwards the whole block to the backend's
 //! `solve_many` — one pass over the cached `Lu` factors instead of one
-//! per request.
+//! per request. On the dense backend that pass runs register-blocked
+//! kernels whose per-request substitution chains overlap, so coalescing
+//! wins from a batch of two: two evals cost well under two standalone
+//! solves (gated by `lu_solve_many_w2_vs_loop` in `BENCH_perf.json`).
 //!
 //! [`build_key`]: control::api::ProblemSpec::build_key
 //! [`cost_many`]: pde::LaplaceControlProblem::cost_many

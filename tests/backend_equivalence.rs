@@ -127,6 +127,38 @@ fn solve_many_is_bitwise_identical_to_one_at_a_time_on_both_backends() {
     }
 }
 
+/// The adjoint twin of the test above: `solve_transpose_many` (the DP and
+/// HVP reverse sweeps batch through it) must match one
+/// `solve_transpose` per column bitwise on the dense override and on the
+/// sparse backend's default loop.
+#[test]
+fn solve_transpose_many_is_bitwise_identical_to_one_at_a_time_on_both_backends() {
+    let (a, b) = laplace_fd_system(12);
+    let n = b.len();
+    let rhs: Vec<DVec> = (0..Lu::MULTI_RHS_BLOCK + 2)
+        .map(|k| DVec::from_fn(n, |i| (0.2 * (i as f64) - 0.9 * k as f64).cos()))
+        .collect();
+
+    let dense: Box<dyn LinearBackend> = Box::new(Lu::factor(&a.to_dense()).unwrap());
+    let sparse: Box<dyn LinearBackend> = Box::new(SparseIterative::gmres_ilu0(
+        a,
+        IterOpts::gmres().max_iter(6000).tol(1e-11).restart(80),
+    ));
+    for backend in [&dense, &sparse] {
+        let batched = backend.solve_transpose_many(&rhs).unwrap();
+        assert_eq!(batched.len(), rhs.len());
+        for (k, (b, x)) in rhs.iter().zip(&batched).enumerate() {
+            let one = backend.solve_transpose(b).unwrap();
+            assert_eq!(
+                x.as_slice(),
+                one.as_slice(),
+                "{:?} rhs {k}: solve_transpose_many drifted from the one-at-a-time path",
+                backend.kind()
+            );
+        }
+    }
+}
+
 /// A genuinely sparse (RBF-FD saddle-point) Navier–Stokes solver.
 fn sparse_ns_solver(h: f64) -> NsSolver {
     NsSolver::new(NsConfig {
