@@ -885,33 +885,40 @@ mod tests {
         assert_eq!(h.as_slice(), &[0.0]);
     }
 
-    /// Property tests need the proptest engine; enable with
-    /// `--features proptest`.
-    #[cfg(feature = "proptest")]
+    /// Seeded property tests: each draws its inputs from one fixed
+    /// `Rng64` stream, so every `cargo test` runs the same cases.
     mod prop {
         use super::*;
-        use proptest::prelude::*;
+        use meshfree_runtime::Rng64;
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-
-            #[test]
-            fn prop_dtape_second_derivative_matches_dual2(x in 0.2f64..2.0) {
+        #[test]
+        fn prop_dtape_second_derivative_matches_dual2() {
+            let mut rng = Rng64::seed_from_u64(0x71);
+            for case in 0..64 {
+                let x = rng.gen_range(0.2..2.0);
                 let (_, d, dd) =
                     d2_via_dtape(x, |_, c| c.sqrt().mul(c.exp()).add(c.sin().sq()).sum());
-                let (_, d2, dd2) = derivative2(
-                    |z: Dual2| z.sqrt() * z.exp() + z.sin() * z.sin(),
-                    x,
+                let (_, d2, dd2) =
+                    derivative2(|z: Dual2| z.sqrt() * z.exp() + z.sin() * z.sin(), x);
+                assert!(
+                    (d - d2).abs() < 1e-10 * (1.0 + d2.abs()),
+                    "case {case}: x = {x:?}"
                 );
-                prop_assert!((d - d2).abs() < 1e-10 * (1.0 + d2.abs()));
-                prop_assert!((dd - dd2).abs() < 1e-9 * (1.0 + dd2.abs()));
+                assert!(
+                    (dd - dd2).abs() < 1e-9 * (1.0 + dd2.abs()),
+                    "case {case}: x = {x:?}"
+                );
             }
+        }
 
-            #[test]
-            fn prop_hvp_symmetry_of_bilinear_form(
-                a in -1.5f64..1.5, b in -1.5f64..1.5,
-                p in -1.0f64..1.0, q in -1.0f64..1.0,
-            ) {
+        #[test]
+        fn prop_hvp_symmetry_of_bilinear_form() {
+            let mut rng = Rng64::seed_from_u64(0x72);
+            for case in 0..64 {
+                let a = rng.gen_range(-1.5..1.5);
+                let b = rng.gen_range(-1.5..1.5);
+                let p = rng.gen_range(-1.0..1.0);
+                let q = rng.gen_range(-1.0..1.0);
                 // v·H(c)w == w·H(c)v for a smooth non-quadratic objective.
                 let c = DVec(vec![0.6 + 0.1 * a.abs(), 1.1 + 0.1 * b.abs()]);
                 let v = DVec(vec![a, b]);
@@ -920,7 +927,10 @@ mod tests {
                 let hw = hvp(&c, &w, exp_sin_objective).unwrap().hvp;
                 let vhw = v.dot(&hw);
                 let whv = w.dot(&hv);
-                prop_assert!((vhw - whv).abs() < 1e-10 * (1.0 + vhw.abs()));
+                assert!(
+                    (vhw - whv).abs() < 1e-10 * (1.0 + vhw.abs()),
+                    "case {case}: a = {a:?}, b = {b:?}, p = {p:?}, q = {q:?}"
+                );
             }
         }
     }

@@ -355,44 +355,63 @@ mod tests {
         assert!((dd - (4.0 * 0.81 - 2.0) * e).abs() < 1e-12);
     }
 
-    /// Property tests need the proptest engine; enable with
-    /// `--features proptest`.
-    #[cfg(feature = "proptest")]
+    /// Seeded property tests: each draws its inputs from one fixed
+    /// `Rng64` stream, so every `cargo test` runs the same cases.
     mod prop {
         use super::*;
-        use proptest::prelude::*;
+        use meshfree_runtime::Rng64;
 
         fn fd2(f: impl Fn(f64) -> f64, x: f64) -> f64 {
             let h = 1e-4 * (1.0 + x.abs());
             (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
         }
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-
-            #[test]
-            fn prop_dual_matches_fd(x in 0.1f64..3.0) {
+        #[test]
+        fn prop_dual_matches_fd() {
+            let mut rng = Rng64::seed_from_u64(0x51);
+            for case in 0..64 {
+                let x = rng.gen_range(0.1..3.0);
                 let f_dual = |d: Dual| (d * d + Dual::constant(1.0)).sqrt() * d.tanh();
                 let f = |x: f64| (x * x + 1.0).sqrt() * x.tanh();
                 let (_, d) = derivative(f_dual, x);
-                prop_assert!((d - fd1(f, x)).abs() < 1e-5 * (1.0 + d.abs()));
+                assert!(
+                    (d - fd1(f, x)).abs() < 1e-5 * (1.0 + d.abs()),
+                    "case {case}: x = {x:?}"
+                );
             }
+        }
 
-            #[test]
-            fn prop_dual2_matches_fd(x in 0.2f64..2.5) {
+        #[test]
+        fn prop_dual2_matches_fd() {
+            let mut rng = Rng64::seed_from_u64(0x52);
+            for case in 0..64 {
+                let x = rng.gen_range(0.2..2.5);
                 let f_dual = |d: Dual2| d.powi(3) * d.sin() + d.exp();
                 let f = |x: f64| x.powi(3) * x.sin() + x.exp();
                 let (_, d, dd) = derivative2(f_dual, x);
-                prop_assert!((d - fd1(f, x)).abs() < 1e-5 * (1.0 + d.abs()));
-                prop_assert!((dd - fd2(f, x)).abs() < 1e-3 * (1.0 + dd.abs()));
+                assert!(
+                    (d - fd1(f, x)).abs() < 1e-5 * (1.0 + d.abs()),
+                    "case {case}: x = {x:?}"
+                );
+                assert!(
+                    (dd - fd2(f, x)).abs() < 1e-3 * (1.0 + dd.abs()),
+                    "case {case}: x = {x:?}"
+                );
             }
+        }
 
-            #[test]
-            fn prop_dual_product_rule(x in 0.1f64..2.0) {
+        #[test]
+        fn prop_dual_product_rule() {
+            let mut rng = Rng64::seed_from_u64(0x53);
+            for case in 0..64 {
+                let x = rng.gen_range(0.1..2.0);
                 let (_, d_fg) = derivative(|d| d.sin() * d.exp(), x);
                 let (f, df) = derivative(|d| d.sin(), x);
                 let (g, dg) = derivative(|d| d.exp(), x);
-                prop_assert!((d_fg - (df * g + f * dg)).abs() < 1e-12);
+                assert!(
+                    (d_fg - (df * g + f * dg)).abs() < 1e-12,
+                    "case {case}: x = {x:?}"
+                );
             }
         }
     }

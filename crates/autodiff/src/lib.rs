@@ -11,10 +11,7 @@
 //!    generically over the [`Scalar`] trait — exactly the role `jax.grad`
 //!    plays in Updec's operator definitions, letting users "effortlessly
 //!    choose or design new functions φ".
-//! 2. **Scalar reverse mode** ([`stape::STape`], [`stape::Var`]): a classic
-//!    Wengert-list tape with operator overloading, used for small expression
-//!    graphs and as a cross-check oracle for the tensor engine.
-//! 3. **Tensor reverse mode** ([`tape::Tape`], [`tape::TVar`]): the engine
+//! 2. **Tensor reverse mode** ([`tape::Tape`], [`tape::TVar`]): the engine
 //!    behind differentiable programming (DP) and the PINNs. Whole-array
 //!    nodes (matmul, elementwise maps, reductions, concatenation) plus a
 //!    **differentiable linear solve** whose forward pass caches an LU
@@ -22,8 +19,7 @@
 //!    `b̄ = A⁻ᵀ x̄`, `Ā = −b̄ x̄ᵀ` — the same custom VJP JAX registers for
 //!    `jnp.linalg.solve`, and the key to differentiating *through* a PDE
 //!    solver (discretise-then-optimise).
-//!
-//! 4. **Forward-over-reverse** ([`dtape::DualTape`], [`dtape::hvp`]): the
+//! 3. **Forward-over-reverse** ([`dtape::DualTape`], [`dtape::hvp`]): the
 //!    tensor tape re-run in dual arithmetic, so one reverse sweep yields the
 //!    gradient *and* an exact Hessian-vector product — second-order
 //!    information through the differentiable linear solve with zero extra
@@ -37,13 +33,11 @@ pub mod dtape;
 pub mod dual;
 pub mod gradcheck;
 pub mod scalar;
-pub mod stape;
 pub mod tape;
 pub mod tensor;
 
 pub use dtape::{hvp, DVar, DualGrads, DualTape, HvpEval};
 pub use dual::{derivative, derivative2, Dual, Dual2};
 pub use scalar::Scalar;
-pub use stape::{STape, Var};
 pub use tape::{TVar, Tape};
 pub use tensor::Tensor;

@@ -1403,12 +1403,11 @@ mod tests {
         let _ = t.backward(a);
     }
 
-    /// Property tests need the proptest engine; enable with
-    /// `--features proptest`.
-    #[cfg(feature = "proptest")]
+    /// Seeded property tests: each draws its inputs from one fixed
+    /// `Rng64` stream, so every `cargo test` runs the same cases.
     mod random_programs {
         use super::*;
-        use proptest::prelude::*;
+        use meshfree_runtime::Rng64;
 
         /// Interprets a list of opcodes as a straight-line tensor program
         /// over the input, then reduces to a scalar. Every op keeps values
@@ -1439,37 +1438,42 @@ mod tests {
             cur.sum_sq()
         }
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(40))]
-
-            /// Reverse-mode gradients of arbitrary op chains match central
-            /// finite differences — the tape has no op-specific blind spots.
-            #[test]
-            fn prop_random_chain_gradients_match_fd(
-                ops in proptest::collection::vec(0u8..8, 1..12),
-                x in proptest::collection::vec(-1.2f64..1.2, 2..5),
-            ) {
+        /// Reverse-mode gradients of arbitrary op chains match central
+        /// finite differences — the tape has no op-specific blind spots.
+        #[test]
+        fn prop_random_chain_gradients_match_fd() {
+            let mut rng = Rng64::seed_from_u64(0x61);
+            for case in 0..40 {
+                let ops: Vec<u8> = (0..rng.gen_range_usize(1..12))
+                    .map(|_| rng.gen_range_usize(0..8) as u8)
+                    .collect();
+                let mut x = vec![0.0; rng.gen_range_usize(2..5)];
+                rng.fill_uniform(&mut x, -1.2..1.2);
                 let t = Tape::new();
                 let v = t.var_col(&x);
                 let out = build(&t, v, &ops);
                 let g = t.backward(out).wrt(v);
                 let g_vec: Vec<f64> = g.as_slice().to_vec();
-                let fd = crate::gradcheck::fd_gradient(
-                    |xx| run_program(&ops, xx),
-                    &x,
-                    1e-6,
-                );
+                let fd = crate::gradcheck::fd_gradient(|xx| run_program(&ops, xx), &x, 1e-6);
                 let err = crate::gradcheck::rel_error(&g_vec, &fd);
-                prop_assert!(err < 1e-4, "ops {ops:?}: rel err {err:.3e}");
+                assert!(
+                    err < 1e-4,
+                    "case {case}: ops = {ops:?}, x = {x:?}: rel err {err:.3e}"
+                );
             }
+        }
 
-            /// Gradients are linear in the output seed: grad of 3·f equals
-            /// 3x grad of f, coordinate by coordinate.
-            #[test]
-            fn prop_grad_scales_with_output(
-                ops in proptest::collection::vec(0u8..8, 1..10),
-                x in proptest::collection::vec(-1.0f64..1.0, 2..4),
-            ) {
+        /// Gradients are linear in the output seed: grad of 3·f equals
+        /// 3x grad of f, coordinate by coordinate.
+        #[test]
+        fn prop_grad_scales_with_output() {
+            let mut rng = Rng64::seed_from_u64(0x62);
+            for case in 0..40 {
+                let ops: Vec<u8> = (0..rng.gen_range_usize(1..10))
+                    .map(|_| rng.gen_range_usize(0..8) as u8)
+                    .collect();
+                let mut x = vec![0.0; rng.gen_range_usize(2..4)];
+                rng.fill_uniform(&mut x, -1.0..1.0);
                 let t1 = Tape::new();
                 let v1 = t1.var_col(&x);
                 let o1 = build(&t1, v1, &ops);
@@ -1480,9 +1484,9 @@ mod tests {
                 let o2 = build(&t2, v2, &ops).scale(3.0);
                 let g2 = t2.backward(o2).wrt(v2);
                 for i in 0..x.len() {
-                    prop_assert!(
-                        (3.0 * g1[(i, 0)] - g2[(i, 0)]).abs()
-                            < 1e-10 * (1.0 + g2[(i, 0)].abs())
+                    assert!(
+                        (3.0 * g1[(i, 0)] - g2[(i, 0)]).abs() < 1e-10 * (1.0 + g2[(i, 0)].abs()),
+                        "case {case}: ops = {ops:?}, x = {x:?}: coordinate {i}"
                     );
                 }
             }

@@ -60,9 +60,7 @@
 //!   CI gate for the committed trajectory file). Accepts both
 //!   `perf_suite` and `perf_sweep` snapshots.
 //!
-//! The pre-subcommand spellings (`--quick`, `--out`, `--baseline`,
-//! `--verify PATH` at top level) keep working as hidden aliases for
-//! `measure` / `verify`.
+//! A missing or unknown subcommand prints the usage and exits 1.
 
 use check::golden::GoldenSnapshot;
 use control::api::{BackendKind, ProblemSpec, RunCtx};
@@ -510,7 +508,7 @@ fn run_suite(sz: &Sizes) -> GoldenSnapshot {
     // comparison the serve daemon's `eval` vs `neural-eval` request kinds
     // expose. The measured gap is the entire case for
     // `Strategy::NeuralOp`, hard-gated at >= 10x both here and at
-    // `--verify` time.
+    // `verify` time.
     let surrogate =
         LaplaceSurrogate::train(&problem, &SurrogateSpec::default(), 0).expect("surrogate train");
     let neural = time_kernel(sz.warmup, sz.reps.max(15), || {
@@ -553,7 +551,7 @@ fn run_suite(sz: &Sizes) -> GoldenSnapshot {
     // quadrature-weighted adjoint gradient. `newton_vs_adam_iter` is how
     // many times fewer outer iterations Newton-CG needs to reach (or beat)
     // Adam's final cost — the acceptance gate for the second-order
-    // machinery, enforced both here and at `--verify` time.
+    // machinery, enforced both here and at `verify` time.
     let adam_cfg = LaplaceRunConfig {
         nx: sz.laplace_nx,
         iterations: 150,
@@ -911,13 +909,18 @@ fn parse_thread_list(s: &str) -> Vec<usize> {
     widths
 }
 
+const USAGE: &str = "usage: perf_suite measure [--quick] [--out PATH] [--baseline PATH]
+       perf_suite sweep [--quick] [--threads 1,2,8] [--out PATH]
+       perf_suite verify PATH";
+
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let sub = match args.first().map(String::as_str) {
         Some("measure" | "sweep" | "verify") => args.remove(0),
-        // Hidden legacy spelling: bare flags mean `measure`, with
-        // top-level `--verify PATH` redirecting to `verify`.
-        _ => "measure".to_string(),
+        _ => {
+            eprintln!("{USAGE}");
+            return ExitCode::FAILURE;
+        }
     };
 
     let mut quick = false;
@@ -936,10 +939,6 @@ fn main() -> ExitCode {
             "--baseline" => {
                 i += 1;
                 baseline = Some(args.get(i).expect("--baseline needs a path").clone());
-            }
-            "--verify" => {
-                i += 1;
-                verify_path = Some(args.get(i).expect("--verify needs a path").clone());
             }
             "--threads" => {
                 i += 1;
@@ -970,10 +969,6 @@ fn main() -> ExitCode {
             write_snapshot(&snap, out.as_deref().unwrap_or("BENCH_sweep.json"))
         }
         _ => {
-            // `measure`, including the pre-subcommand bare-flag spelling.
-            if let Some(path) = verify_path {
-                return run_verify(&path); // legacy `--verify PATH` alias
-            }
             let snap = run_suite(&sz);
             if let Some(path) = baseline {
                 match std::fs::read_to_string(&path) {

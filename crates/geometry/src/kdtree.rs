@@ -256,18 +256,18 @@ mod tests {
         assert!(tree.knn(Point2::new(0.0, 0.0), 3).is_empty());
     }
 
-    /// Property tests need the proptest engine; enable with
-    /// `--features proptest`.
-    #[cfg(feature = "proptest")]
+    /// Seeded property tests: each draws its inputs from one fixed
+    /// `Rng64` stream, so every `cargo test` runs the same cases.
     mod prop {
         use super::*;
-        use proptest::prelude::*;
+        use meshfree_runtime::Rng64;
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(32))]
-
-            #[test]
-            fn prop_knn_matches_brute_force(seed in 0u64..10_000, k in 1usize..12) {
+        #[test]
+        fn prop_knn_matches_brute_force() {
+            let mut rng = Rng64::seed_from_u64(0x81);
+            for case in 0..32 {
+                let seed = rng.gen_range_usize(0..10_000) as u64;
+                let k = rng.gen_range_usize(1..12);
                 // Deterministic pseudo-random cloud.
                 let n = 60;
                 let pts: Vec<Point2> = (0..n)
@@ -281,9 +281,12 @@ mod tests {
                 let q = Point2::new((seed % 300) as f64 / 100.0, (seed % 200) as f64 / 100.0);
                 let got = tree.knn(q, k);
                 let want = brute_knn(&pts, q, k);
-                prop_assert_eq!(got.len(), want.len());
+                assert_eq!(got.len(), want.len(), "case {case}: seed = {seed}, k = {k}");
                 for (g, w) in got.iter().zip(&want) {
-                    prop_assert!((q.dist(&pts[*g]) - q.dist(&pts[*w])).abs() < 1e-12);
+                    assert!(
+                        (q.dist(&pts[*g]) - q.dist(&pts[*w])).abs() < 1e-12,
+                        "case {case}: seed = {seed}, k = {k}"
+                    );
                 }
             }
         }

@@ -98,16 +98,18 @@ mod tests {
         assert_eq!(t, vec![0.1, 0.5, 0.9]);
     }
 
-    /// Property tests need the proptest engine; enable with
-    /// `--features proptest`.
-    #[cfg(feature = "proptest")]
+    /// Seeded property tests: each draws its inputs from one fixed
+    /// `Rng64` stream, so every `cargo test` runs the same cases.
     mod prop {
         use super::*;
-        use proptest::prelude::*;
+        use meshfree_runtime::Rng64;
 
-        proptest! {
-            #[test]
-            fn prop_weights_nonnegative_and_sum(n in 2usize..20, seed in 0u64..1000) {
+        #[test]
+        fn prop_weights_nonnegative_and_sum() {
+            let mut rng = Rng64::seed_from_u64(0x91);
+            for case in 0..64 {
+                let n = rng.gen_range_usize(2..20);
+                let seed = rng.gen_range_usize(0..1000) as u64;
                 let mut t: Vec<f64> = (0..n)
                     .map(|i| ((seed as usize + i * 37) % 100) as f64 / 100.0 + i as f64)
                     .collect();
@@ -116,11 +118,14 @@ mod tests {
                 if t.len() >= 2 {
                     let w = trapezoid_weights(&t);
                     for &wi in &w {
-                        prop_assert!(wi >= 0.0);
+                        assert!(wi >= 0.0, "case {case}: n = {n}, seed = {seed}");
                     }
                     let total: f64 = w.iter().sum();
                     let span = t[t.len() - 1] - t[0];
-                    prop_assert!((total - span).abs() < 1e-10);
+                    assert!(
+                        (total - span).abs() < 1e-10,
+                        "case {case}: n = {n}, seed = {seed}"
+                    );
                 }
             }
         }

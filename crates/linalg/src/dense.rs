@@ -517,42 +517,61 @@ mod tests {
         assert_eq!(par, seq, "thread count changed the result bits");
     }
 
-    /// Property tests need the proptest engine; enable with
-    /// `--features proptest`.
-    #[cfg(feature = "proptest")]
+    /// Seeded property tests: each draws its inputs from one fixed
+    /// `Rng64` stream, so every `cargo test` runs the same cases.
     mod prop {
         use super::*;
-        use proptest::prelude::*;
+        use meshfree_runtime::Rng64;
 
-        proptest! {
-            #[test]
-            fn prop_matvec_linearity(seed in 0u64..1000) {
+        #[test]
+        fn prop_matvec_linearity() {
+            let mut rng = Rng64::seed_from_u64(0x21);
+            for case in 0..64 {
+                let seed = rng.gen_range_usize(0..1000) as u64;
                 let n = 5 + (seed % 7) as usize;
-                let a = DMat::from_fn(n, n, |i, j| ((seed as usize + i * 31 + j * 17) % 13) as f64 - 6.0);
+                let a = DMat::from_fn(n, n, |i, j| {
+                    ((seed as usize + i * 31 + j * 17) % 13) as f64 - 6.0
+                });
                 let x = DVec::from_fn(n, |i| (i as f64 - 2.0) * 0.5);
                 let y = DVec::from_fn(n, |i| ((i * 3) % 5) as f64);
                 let lhs = a.matvec(&(&x + &y)).unwrap();
                 let rhs = &a.matvec(&x).unwrap() + &a.matvec(&y).unwrap();
                 for i in 0..n {
-                    prop_assert!((lhs[i] - rhs[i]).abs() < 1e-9);
+                    assert!(
+                        (lhs[i] - rhs[i]).abs() < 1e-9,
+                        "case {case}: seed = {seed}: row {i}"
+                    );
                 }
             }
+        }
 
-            #[test]
-            fn prop_transpose_matvec_adjoint(seed in 0u64..1000) {
+        #[test]
+        fn prop_transpose_matvec_adjoint() {
+            let mut rng = Rng64::seed_from_u64(0x22);
+            for case in 0..64 {
+                let seed = rng.gen_range_usize(0..1000) as u64;
                 // <Ax, y> == <x, A^T y>
                 let m = 3 + (seed % 5) as usize;
                 let n = 2 + (seed % 7) as usize;
-                let a = DMat::from_fn(m, n, |i, j| ((seed as usize + i * 7 + j * 11) % 9) as f64 - 4.0);
+                let a = DMat::from_fn(m, n, |i, j| {
+                    ((seed as usize + i * 7 + j * 11) % 9) as f64 - 4.0
+                });
                 let x = DVec::from_fn(n, |i| i as f64 * 0.3 - 1.0);
                 let y = DVec::from_fn(m, |i| 1.0 - i as f64 * 0.2);
                 let lhs = a.matvec(&x).unwrap().dot(&y);
                 let rhs = x.dot(&a.matvec_t(&y).unwrap());
-                prop_assert!((lhs - rhs).abs() < 1e-9 * (1.0 + lhs.abs()));
+                assert!(
+                    (lhs - rhs).abs() < 1e-9 * (1.0 + lhs.abs()),
+                    "case {case}: seed = {seed}"
+                );
             }
+        }
 
-            #[test]
-            fn prop_matmul_associative_with_vector(seed in 0u64..500) {
+        #[test]
+        fn prop_matmul_associative_with_vector() {
+            let mut rng = Rng64::seed_from_u64(0x23);
+            for case in 0..64 {
+                let seed = rng.gen_range_usize(0..500) as u64;
                 // (AB)x == A(Bx)
                 let n = 3 + (seed % 6) as usize;
                 let a = DMat::from_fn(n, n, |i, j| ((seed as usize + i + 2 * j) % 7) as f64 - 3.0);
@@ -561,7 +580,10 @@ mod tests {
                 let lhs = a.matmul(&b).unwrap().matvec(&x).unwrap();
                 let rhs = a.matvec(&b.matvec(&x).unwrap()).unwrap();
                 for i in 0..n {
-                    prop_assert!((lhs[i] - rhs[i]).abs() < 1e-9);
+                    assert!(
+                        (lhs[i] - rhs[i]).abs() < 1e-9,
+                        "case {case}: seed = {seed}: row {i}"
+                    );
                 }
             }
         }

@@ -1172,28 +1172,37 @@ mod tests {
         assert!(Qr::factor(&DMat::zeros(2, 3)).is_err());
     }
 
-    /// Property tests need the proptest engine; enable with
-    /// `--features proptest`.
-    #[cfg(feature = "proptest")]
+    /// Seeded property tests: each draws its inputs from one fixed
+    /// `Rng64` stream, so every `cargo test` runs the same cases.
     mod prop {
         use super::*;
-        use proptest::prelude::*;
+        use meshfree_runtime::Rng64;
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(24))]
-
-            #[test]
-            fn prop_lu_solve_residual_small(seed in 0u64..5000, n in 2usize..24) {
+        #[test]
+        fn prop_lu_solve_residual_small() {
+            let mut rng = Rng64::seed_from_u64(0x31);
+            for case in 0..24 {
+                let seed = rng.gen_range_usize(0..5000) as u64;
+                let n = rng.gen_range_usize(2..24);
                 let a = random_like_matrix(n, seed);
                 let b = DVec::from_fn(n, |i| ((seed as usize + i) % 17) as f64 - 8.0);
                 let lu = Lu::factor(&a).unwrap();
                 let x = lu.solve(&b).unwrap();
                 let r = &a.matvec(&x).unwrap() - &b;
-                prop_assert!(r.norm2() < 1e-8 * (1.0 + b.norm2()));
+                assert!(
+                    r.norm2() < 1e-8 * (1.0 + b.norm2()),
+                    "case {case}: seed = {seed}, n = {n}: residual {:.3e}",
+                    r.norm2()
+                );
             }
+        }
 
-            #[test]
-            fn prop_lu_transpose_adjoint_identity(seed in 0u64..5000, n in 2usize..16) {
+        #[test]
+        fn prop_lu_transpose_adjoint_identity() {
+            let mut rng = Rng64::seed_from_u64(0x32);
+            for case in 0..24 {
+                let seed = rng.gen_range_usize(0..5000) as u64;
+                let n = rng.gen_range_usize(2..16);
                 // <A^{-1} b, c> == <b, A^{-T} c> — exactly the identity the
                 // autodiff solve-adjoint relies on.
                 let a = random_like_matrix(n, seed);
@@ -1202,17 +1211,28 @@ mod tests {
                 let lu = Lu::factor(&a).unwrap();
                 let lhs = lu.solve(&b).unwrap().dot(&c);
                 let rhs = b.dot(&lu.solve_transpose(&c).unwrap());
-                prop_assert!((lhs - rhs).abs() < 1e-8 * (1.0 + lhs.abs()));
+                assert!(
+                    (lhs - rhs).abs() < 1e-8 * (1.0 + lhs.abs()),
+                    "case {case}: seed = {seed}, n = {n}"
+                );
             }
+        }
 
-            #[test]
-            fn prop_det_product_rule(seed in 0u64..2000, n in 2usize..8) {
+        #[test]
+        fn prop_det_product_rule() {
+            let mut rng = Rng64::seed_from_u64(0x33);
+            for case in 0..24 {
+                let seed = rng.gen_range_usize(0..2000) as u64;
+                let n = rng.gen_range_usize(2..8);
                 let a = random_like_matrix(n, seed);
                 let b = random_like_matrix(n, seed + 7);
                 let da = Lu::factor(&a).unwrap().det();
                 let db = Lu::factor(&b).unwrap().det();
                 let dab = Lu::factor(&a.matmul(&b).unwrap()).unwrap().det();
-                prop_assert!((dab - da * db).abs() < 1e-6 * (1.0 + dab.abs()));
+                assert!(
+                    (dab - da * db).abs() < 1e-6 * (1.0 + dab.abs()),
+                    "case {case}: seed = {seed}, n = {n}"
+                );
             }
         }
     }

@@ -449,18 +449,17 @@ mod tests {
         assert_eq!(a.nnz(), 3, "scaling must not change the pattern");
     }
 
-    /// Property tests need the proptest engine; enable with
-    /// `--features proptest`.
-    #[cfg(feature = "proptest")]
+    /// Seeded property tests: each draws its inputs from one fixed
+    /// `Rng64` stream, so every `cargo test` runs the same cases.
     mod prop {
         use super::*;
-        use proptest::prelude::*;
+        use meshfree_runtime::Rng64;
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(32))]
-
-            #[test]
-            fn prop_spmv_adjoint(seed in 0u64..1000) {
+        #[test]
+        fn prop_spmv_adjoint() {
+            let mut rng = Rng64::seed_from_u64(0x41);
+            for case in 0..32 {
+                let seed = rng.gen_range_usize(0..1000) as u64;
                 // <Ax, y> == <x, A^T y> for random sparse patterns.
                 let n = 4 + (seed % 12) as usize;
                 let mut t = Triplets::new(n, n);
@@ -474,21 +473,32 @@ mod tests {
                 let y = DVec::from_fn(n, |i| 1.0 - 0.1 * i as f64);
                 let lhs = a.matvec(&x).dot(&y);
                 let rhs = x.dot(&a.matvec_t(&y));
-                prop_assert!((lhs - rhs).abs() < 1e-9 * (1.0 + lhs.abs()));
+                assert!(
+                    (lhs - rhs).abs() < 1e-9 * (1.0 + lhs.abs()),
+                    "case {case}: seed = {seed}"
+                );
             }
+        }
 
-            #[test]
-            fn prop_csr_dense_agree(seed in 0u64..1000) {
+        #[test]
+        fn prop_csr_dense_agree() {
+            let mut rng = Rng64::seed_from_u64(0x42);
+            for case in 0..32 {
+                let seed = rng.gen_range_usize(0..1000) as u64;
                 let n = 3 + (seed % 8) as usize;
                 let mut t = Triplets::new(n, n);
                 for k in 0..2 * n {
-                    t.push((seed as usize + k * 3) % n, (k * 7 + 1) % n, (k as f64) * 0.25 - 1.0);
+                    t.push(
+                        (seed as usize + k * 3) % n,
+                        (k * 7 + 1) % n,
+                        (k as f64) * 0.25 - 1.0,
+                    );
                 }
                 let a = t.to_csr();
                 let d = a.to_dense();
                 let x = DVec::from_fn(n, |i| i as f64 + 1.0);
                 let diff = &a.matvec(&x) - &d.matvec(&x).unwrap();
-                prop_assert!(diff.norm2() < 1e-12);
+                assert!(diff.norm2() < 1e-12, "case {case}: seed = {seed}");
             }
         }
     }

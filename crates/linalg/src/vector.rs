@@ -370,39 +370,61 @@ mod tests {
         DVec::zeros(2).dot(&DVec::zeros(3));
     }
 
-    /// Property tests need the proptest engine; enable with
-    /// `--features proptest`.
-    #[cfg(feature = "proptest")]
+    /// Seeded property tests: each draws its inputs from one fixed
+    /// `Rng64` stream, so every `cargo test` runs the same cases.
     mod prop {
         use super::*;
-        use proptest::prelude::*;
+        use meshfree_runtime::Rng64;
 
-        proptest! {
-            #[test]
-            fn prop_cauchy_schwarz(x in proptest::collection::vec(-1e3f64..1e3, 1..32),
-                                   y_seed in proptest::collection::vec(-1e3f64..1e3, 1..32)) {
+        #[test]
+        fn prop_cauchy_schwarz() {
+            let mut rng = Rng64::seed_from_u64(0x11);
+            for case in 0..64 {
+                let mut x = vec![0.0; rng.gen_range_usize(1..32)];
+                rng.fill_uniform(&mut x, -1e3..1e3);
+                let mut y_seed = vec![0.0; rng.gen_range_usize(1..32)];
+                rng.fill_uniform(&mut y_seed, -1e3..1e3);
                 let n = x.len().min(y_seed.len());
                 let a = DVec(x[..n].to_vec());
                 let b = DVec(y_seed[..n].to_vec());
-                prop_assert!(a.dot(&b).abs() <= a.norm2() * b.norm2() + 1e-6);
+                assert!(
+                    a.dot(&b).abs() <= a.norm2() * b.norm2() + 1e-6,
+                    "case {case}: x = {x:?}, y_seed = {y_seed:?}"
+                );
             }
+        }
 
-            #[test]
-            fn prop_axpy_matches_definition(x in proptest::collection::vec(-1e3f64..1e3, 1..32),
-                                            alpha in -10.0f64..10.0) {
+        #[test]
+        fn prop_axpy_matches_definition() {
+            let mut rng = Rng64::seed_from_u64(0x12);
+            for case in 0..64 {
+                let mut x = vec![0.0; rng.gen_range_usize(1..32)];
+                rng.fill_uniform(&mut x, -1e3..1e3);
+                let alpha = rng.gen_range(-10.0..10.0);
                 let a = DVec(x.clone());
                 let mut b = DVec::zeros(x.len());
                 b.axpy(alpha, &a);
                 for i in 0..x.len() {
-                    prop_assert!((b[i] - alpha * x[i]).abs() <= 1e-9 * (1.0 + x[i].abs()));
+                    assert!(
+                        (b[i] - alpha * x[i]).abs() <= 1e-9 * (1.0 + x[i].abs()),
+                        "case {case}: x = {x:?}, alpha = {alpha:?}: entry {i}"
+                    );
                 }
             }
+        }
 
-            #[test]
-            fn prop_norm_triangle_inequality(x in proptest::collection::vec(-1e3f64..1e3, 1..32)) {
+        #[test]
+        fn prop_norm_triangle_inequality() {
+            let mut rng = Rng64::seed_from_u64(0x13);
+            for case in 0..64 {
+                let mut x = vec![0.0; rng.gen_range_usize(1..32)];
+                rng.fill_uniform(&mut x, -1e3..1e3);
                 let a = DVec(x.clone());
                 let b = a.map(|v| v * 0.5 - 1.0);
-                prop_assert!((&a + &b).norm2() <= a.norm2() + b.norm2() + 1e-9);
+                assert!(
+                    (&a + &b).norm2() <= a.norm2() + b.norm2() + 1e-9,
+                    "case {case}: x = {x:?}"
+                );
             }
         }
     }

@@ -3,27 +3,8 @@
 use autodiff::tape::{TGrads, TVar, Tape};
 use autodiff::tensor::Tensor;
 use linalg::{DMat, DVec};
-use std::sync::Arc;
-
-// Weight initialisation draws from the std-only runtime generator by
-// default; the `rand` feature swaps in rand's StdRng for checkpoints that
-// must reproduce pre-runtime weight streams.
-#[cfg(not(feature = "rand"))]
 use meshfree_runtime::rng::Rng64;
-#[cfg(feature = "rand")]
-use rand::{rngs::StdRng, Rng, SeedableRng};
-
-#[cfg(feature = "rand")]
-fn init_rng(seed: u64) -> impl FnMut(f64) -> f64 {
-    let mut rng = StdRng::seed_from_u64(seed);
-    move |scale| rng.gen_range(-scale..scale)
-}
-
-#[cfg(not(feature = "rand"))]
-fn init_rng(seed: u64) -> impl FnMut(f64) -> f64 {
-    let mut rng = Rng64::seed_from_u64(seed);
-    move |scale| rng.gen_range(-scale..scale)
-}
+use std::sync::Arc;
 
 /// Activation functions (the paper's PINNs use `tanh` throughout: "each
 /// layer was equipped with an infinitely differentiable tanh activation").
@@ -73,13 +54,13 @@ impl Mlp {
     /// neurons each").
     pub fn new(layers: &[usize], activation: Activation, seed: u64) -> Mlp {
         assert!(layers.len() >= 2, "need at least input and output layers");
-        let mut draw = init_rng(seed);
+        let mut rng = Rng64::seed_from_u64(seed);
         let mut params = Vec::new();
         for w in layers.windows(2) {
             let (nin, nout) = (w[0], w[1]);
             let scale = (6.0 / (nin + nout) as f64).sqrt();
             for _ in 0..nin * nout {
-                params.push(draw(scale));
+                params.push(rng.gen_range(-scale..scale));
             }
             params.extend(std::iter::repeat_n(0.0, nout));
         }

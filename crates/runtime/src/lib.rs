@@ -1,15 +1,14 @@
 //! Execution substrate for the meshfree-oc workspace: a persistent scoped
 //! thread pool, a seedable RNG, structured solver telemetry, and kernel
-//! timing — all std-only, so the default-feature build graph resolves with
-//! no network and no registry.
+//! timing — all std-only, so the workspace builds with no network and no
+//! registry and has no optional backends.
 //!
 //! The modules mirror the external crates they replace:
 //!
 //! * [`par`] replaces rayon for the data-parallel kernels (dense matmul,
-//!   SpMV, collocation assembly, RBF-FD stencils). The optional
-//!   `accel-rayon` feature swaps the backend, not the API.
+//!   SpMV, collocation assembly, RBF-FD stencils). It is the only pool.
 //! * [`rng`] replaces rand for seeded initialisation (Xavier weights,
-//!   scattered-node jitter, property-test inputs).
+//!   scattered-node jitter) and draws every property test's inputs.
 //! * [`trace`] is the observability layer the paper's Table 3 numbers and
 //!   every convergence figure are regenerated from: span timers, counters,
 //!   and per-iteration [`trace::SolveEvent`]s flowing to pluggable sinks.

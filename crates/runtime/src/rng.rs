@@ -1,11 +1,10 @@
-//! Seedable pseudo-random numbers without the rand crate.
+//! Seedable pseudo-random numbers: the workspace's only generator.
 //!
 //! [`Rng64`] is xoshiro256++ (Blackman & Vigna) seeded through SplitMix64,
-//! with the same call shapes the workspace used from rand's `StdRng`
-//! (`seed_from_u64`, `gen_range`) plus Box–Muller normal sampling. It is
-//! not cryptographic and does not match rand's StdRng stream — checkpoints
-//! that must reproduce pre-runtime weights can enable the `rand` feature
-//! and keep the old generator.
+//! with `seed_from_u64` / `gen_range` call shapes plus Box–Muller normal
+//! sampling. It is not cryptographic. It draws weight initialisation, node
+//! jitter and the inputs of every property test, so a seed fixes a stream
+//! on every platform.
 
 use std::ops::Range;
 
@@ -78,7 +77,14 @@ impl Rng64 {
     /// Uniform in `[range.start, range.end)`.
     pub fn gen_range(&mut self, range: Range<f64>) -> f64 {
         assert!(range.start < range.end, "gen_range needs a non-empty range");
-        range.start + self.next_f64() * (range.end - range.start)
+        let x = range.start + self.next_f64() * (range.end - range.start);
+        // On a range only a few ulps wide the affine map can round up onto
+        // the excluded end; keep the half-open promise.
+        if x < range.end {
+            x
+        } else {
+            range.end.next_down()
+        }
     }
 
     /// Uniform integer in `[range.start, range.end)`. Uses rejection-free
@@ -184,6 +190,16 @@ mod tests {
             assert!((-2.5..1.5).contains(&x));
             let k = rng.gen_range_usize(10..17);
             assert!((10..17).contains(&k));
+        }
+    }
+
+    #[test]
+    fn gen_range_excludes_end_on_a_one_ulp_range() {
+        let mut rng = Rng64::seed_from_u64(7);
+        let end = 1.0 + f64::EPSILON;
+        for i in 0..10_000 {
+            let x = rng.gen_range(1.0..end);
+            assert!((1.0..end).contains(&x), "draw {i} returned {x:e}");
         }
     }
 

@@ -2,7 +2,7 @@
 //! through different subsystems must agree.
 
 use meshfree_oc::autodiff::gradcheck::rel_error;
-use meshfree_oc::autodiff::{derivative2, Dual2, STape, Scalar, Tape};
+use meshfree_oc::autodiff::{derivative2, Dual, Dual2, Scalar, Tape};
 use meshfree_oc::geometry::generators::{unit_square_grid, BoundaryClass};
 use meshfree_oc::geometry::{NodeKind, Point2};
 use meshfree_oc::linalg::{DMat, DVec, Lu};
@@ -24,36 +24,46 @@ fn all_dirichlet(p: Point2) -> BoundaryClass {
 }
 
 #[test]
-fn scalar_tape_and_tensor_tape_agree_on_a_shared_program() {
-    // f(a, b) = Σᵢ tanh(aᵢ bᵢ) + aᵢ², evaluated elementwise on both engines.
+fn forward_mode_and_tensor_tape_agree_on_a_shared_program() {
+    // f(a, b) = Σᵢ tanh(aᵢ bᵢ) + aᵢ²: reverse-mode gradients from the tensor
+    // tape against forward mode, which needs one pass per seeded input.
     let a0 = [0.3, -0.7, 1.1];
     let b0 = [0.9, 0.4, -0.2];
-
-    // Scalar tape.
-    let st = STape::new();
-    let mut scalar_out = meshfree_oc::autodiff::Var::from_f64(0.0);
-    let mut avars = Vec::new();
-    for i in 0..3 {
-        let a = st.var(a0[i]);
-        let b = st.var(b0[i]);
-        scalar_out = scalar_out + (a * b).tanh() + a * a;
-        avars.push(a);
-    }
-    let sg = st.grad(scalar_out);
+    let program = |a: &[Dual], b: &[Dual]| {
+        let mut out = Dual::constant(0.0);
+        for i in 0..3 {
+            out = out + (a[i] * b[i]).tanh() + a[i] * a[i];
+        }
+        out
+    };
+    let seeded = |x: &[f64; 3], k: Option<usize>| -> Vec<Dual> {
+        (0..3)
+            .map(|i| {
+                if Some(i) == k {
+                    Dual::variable(x[i])
+                } else {
+                    Dual::constant(x[i])
+                }
+            })
+            .collect()
+    };
 
     // Tensor tape.
     let tt = Tape::new();
     let a = tt.var_col(&a0);
     let b = tt.var_col(&b0);
     let out = a.mul(b).tanh().add(a.mul(a)).sum();
-    assert!((out.scalar_value() - scalar_out.val()).abs() < 1e-14);
+    let primal = program(&seeded(&a0, None), &seeded(&b0, None)).re;
+    assert!((out.scalar_value() - primal).abs() < 1e-14);
     let tg = tt.backward(out);
-    let ga = tg.wrt(a);
+    let (ga, gb) = (tg.wrt(a), tg.wrt(b));
+
+    // Forward mode, seeded once per input.
     for i in 0..3 {
-        assert!(
-            (ga[(i, 0)] - sg.wrt(avars[i])).abs() < 1e-13,
-            "engines disagree at {i}"
-        );
+        let da = program(&seeded(&a0, Some(i)), &seeded(&b0, None)).eps;
+        let db = program(&seeded(&a0, None), &seeded(&b0, Some(i))).eps;
+        assert!((ga[(i, 0)] - da).abs() < 1e-13, "∂f/∂a disagrees at {i}");
+        assert!((gb[(i, 0)] - db).abs() < 1e-13, "∂f/∂b disagrees at {i}");
     }
 }
 
