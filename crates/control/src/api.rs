@@ -16,12 +16,16 @@
 //! * [`RunCtx`] threads a [`CancelToken`] plus divergence checking through
 //!   the optimizer loops, so the campaign driver can impose wall-clock
 //!   deadlines and abort runs cooperatively.
-//! * [`ControlObjective`] remains the low-level plug-in trait: anything
-//!   that reports a cost and gradient runs under the same Adam loop via
-//!   [`optimize`].
+//! * [`ControlObjective`] is the low-level plug-in trait: anything that
+//!   reports a cost and gradient runs under the one optimizer loop,
+//!   [`optimize_ctx`]. The Laplace and Navier–Stokes solver strategies are
+//!   objectives too ([`crate::laplace::LaplaceObjective`],
+//!   [`crate::ns::NsObjective`]), so DAL, DP and FD all feed that same
+//!   loop.
 
-use crate::laplace::GradMethod;
+use crate::laplace::{GradMethod, LaplaceObjective};
 use crate::metrics::{ConvergenceHistory, RunReport, Timer};
+use crate::ns::NsObjective;
 use crate::pinn::{LaplacePinn, PinnConfig};
 use crate::pinn_ns::{NsPinn, NsPinnConfig};
 use crate::surrogate::{LaplaceSurrogate, SurrogateObjective, SurrogateSpec};
@@ -30,14 +34,13 @@ use linalg::{DVec, LinalgError};
 // Re-exported: the backend choice is part of the spec surface — campaign
 // grids sweep it next to strategy and seed without importing `linalg`.
 pub use linalg::BackendKind;
-use meshfree_runtime::{CancelToken, Rng64};
+use meshfree_runtime::{trace, CancelToken, Rng64};
 use opt::CurvatureOracle;
 // Re-exported: the optimizer choice is part of the spec surface — campaign
 // grids sweep it next to strategy and seed without importing `opt`.
 pub use opt::OptimizerKind;
 use pde::heat::HeatControlProblem;
 use pde::laplace_fd::LaplaceFdProblem;
-use pde::ns_dp::NsDp;
 use pde::{LaplaceControlProblem, NsConfig, NsSolver, NsState};
 use std::collections::HashMap;
 use std::error::Error;
@@ -240,7 +243,7 @@ impl Default for RunCtx {
 }
 
 // ---------------------------------------------------------------------------
-// ControlObjective + generic Adam driver
+// ControlObjective + the optimizer loop
 // ---------------------------------------------------------------------------
 
 /// A differentiable control objective `J(c)`.
@@ -267,8 +270,8 @@ pub trait ControlObjective {
     /// [`ControlObjective::cost_and_grad`], so the curvature is always
     /// consistent with whatever gradient flavour the objective returns
     /// (exact for DP, the adjoint approximation for DAL). Objectives with
-    /// an exact forward-over-reverse path override this
-    /// ([`LaplaceDpObjective`] does).
+    /// an exact forward-over-reverse path or a batched difference override
+    /// this ([`LaplaceObjective`] does).
     fn hvp(&mut self, c: &DVec, v: &DVec) -> Result<DVec, ControlError> {
         let h = 1e-5 / (1.0 + v.norm_inf()).max(1.0);
         let mut cp = c.clone();
@@ -278,6 +281,12 @@ pub trait ControlObjective {
         let (_, gp) = self.cost_and_grad(&cp)?;
         let (_, gm) = self.cost_and_grad(&cm)?;
         Ok(DVec::from_fn(c.len(), |i| (gp[i] - gm[i]) / (2.0 * h)))
+    }
+    /// Bytes the objective held that the global allocator may not see
+    /// (the Navier–Stokes DP tape); a run reports the larger of this and
+    /// the allocator's peak.
+    fn peak_bytes(&self) -> usize {
+        0
     }
 }
 
@@ -335,6 +344,23 @@ impl OptimizeOpts {
             opts: OptimizeOpts::default(),
         }
     }
+
+    /// Rejects options the loop cannot run: zero iterations, a
+    /// non-finite or non-positive `lr`, or a zero `log_every`.
+    /// [`optimize_ctx`] and [`RunSpec::validate`] both call this.
+    pub fn validate(&self) -> Result<(), ControlError> {
+        let bad = |msg: String| Err(ControlError::BadConfig(msg));
+        if self.iterations == 0 {
+            return bad("iterations must be >= 1".into());
+        }
+        if !(self.lr.is_finite() && self.lr > 0.0) {
+            return bad(format!("lr must be finite and positive, got {}", self.lr));
+        }
+        if self.log_every == 0 {
+            return bad("log_every must be >= 1".into());
+        }
+        Ok(())
+    }
 }
 
 /// Builder for [`OptimizeOpts`] (all fields default to the historical
@@ -381,12 +407,31 @@ pub fn optimize(
 }
 
 /// [`optimize`] under a supervision context (deadline / cancellation /
-/// divergence detection).
+/// divergence detection) — the one optimizer loop every solver strategy
+/// runs through. It emits one `control` solve event per iteration and the
+/// run's [`RunReport::emit_trace`] summary.
 pub fn optimize_ctx(
     obj: &mut dyn ControlObjective,
     opts: &OptimizeOpts,
     ctx: &RunCtx,
 ) -> Result<(RunReport, DVec), ControlError> {
+    let (report, c) = descend(obj, opts, ctx)?;
+    report.emit_trace();
+    Ok((report, c))
+}
+
+/// The loop of [`optimize_ctx`], without the trace summary (the NeuralOp
+/// path emits its own after the audit re-solve).
+///
+/// A step that leaves the control non-finite (DAL at high Re can blow up,
+/// the paper's fig. 4b) freezes the run: the loop stops there, and the
+/// final cost — checked by `ctx` — scores the frozen control.
+fn descend(
+    obj: &mut dyn ControlObjective,
+    opts: &OptimizeOpts,
+    ctx: &RunCtx,
+) -> Result<(RunReport, DVec), ControlError> {
+    opts.validate()?;
     let timer = Timer::start();
     let mut c = obj.initial_control();
     let mut optimizer = opts.optimizer.build(c.len(), opts.lr, opts.iterations);
@@ -396,8 +441,13 @@ pub fn optimize_ctx(
         ctx.check_iteration(it, timer.elapsed_s())?;
         let (j, g) = obj.cost_and_grad(&c)?;
         ctx.check_cost(it, j)?;
+        let g_norm = g.norm_inf();
+        if trace::enabled() {
+            let name = trace::intern(obj.name());
+            trace::solve_event("control", name, it, f64::NAN, j, g_norm);
+        }
         if it % opts.log_every == 0 || it + 1 == opts.iterations {
-            history.push(it, j, g.norm_inf(), timer.elapsed_s());
+            history.push(it, j, g_norm, timer.elapsed_s());
         }
         if second_order {
             let mut oracle = ObjectiveOracle {
@@ -407,6 +457,9 @@ pub fn optimize_ctx(
             optimizer.step_with_curvature(&mut c, j, &g, &mut oracle);
         } else {
             optimizer.step(&mut c, &g);
+        }
+        if c.has_non_finite() {
+            break;
         }
     }
     let final_cost = obj.cost(&c)?;
@@ -419,7 +472,7 @@ pub fn optimize_ctx(
             iterations: opts.iterations,
             final_cost,
             wall_s: timer.elapsed_s(),
-            peak_bytes: crate::metrics::peak_allocated_bytes(),
+            peak_bytes: obj.peak_bytes().max(crate::metrics::peak_allocated_bytes()),
             history,
         },
         c,
@@ -429,48 +482,6 @@ pub fn optimize_ctx(
 // ---------------------------------------------------------------------------
 // Built-in objective adapters
 // ---------------------------------------------------------------------------
-
-/// Dense Laplace problem with DP (tape) gradients.
-pub struct LaplaceDpObjective<'p>(pub &'p LaplaceControlProblem);
-
-impl ControlObjective for LaplaceDpObjective<'_> {
-    fn n_controls(&self) -> usize {
-        self.0.n_controls()
-    }
-    fn cost(&mut self, c: &DVec) -> Result<f64, ControlError> {
-        Ok(self.0.cost(c)?)
-    }
-    fn cost_and_grad(&mut self, c: &DVec) -> Result<(f64, DVec), ControlError> {
-        Ok(self.0.cost_and_grad_dp(c)?)
-    }
-    fn name(&self) -> &str {
-        "laplace-dp"
-    }
-    /// Exact HVP via the forward-over-reverse tape (one dual-valued solve
-    /// on the cached factorization — no finite differencing).
-    fn hvp(&mut self, c: &DVec, v: &DVec) -> Result<DVec, ControlError> {
-        let (_, _, hv) = self.0.cost_grad_hvp(c, v)?;
-        Ok(hv)
-    }
-}
-
-/// Dense Laplace problem with DAL (continuous adjoint) gradients.
-pub struct LaplaceDalObjective<'p>(pub &'p LaplaceControlProblem);
-
-impl ControlObjective for LaplaceDalObjective<'_> {
-    fn n_controls(&self) -> usize {
-        self.0.n_controls()
-    }
-    fn cost(&mut self, c: &DVec) -> Result<f64, ControlError> {
-        Ok(self.0.cost(c)?)
-    }
-    fn cost_and_grad(&mut self, c: &DVec) -> Result<(f64, DVec), ControlError> {
-        Ok(self.0.cost_and_grad_dal(c)?)
-    }
-    fn name(&self) -> &str {
-        "laplace-dal"
-    }
-}
 
 /// Sparse RBF-FD Laplace problem (discrete-adjoint gradients).
 pub struct LaplaceFdObjective<'p>(pub &'p LaplaceFdProblem);
@@ -506,52 +517,6 @@ impl ControlObjective for HeatObjective<'_> {
     }
     fn name(&self) -> &str {
         "heat-dp"
-    }
-}
-
-/// Navier–Stokes inflow control with DP gradients and a warm-started flow
-/// state.
-pub struct NsDpObjective<'s> {
-    dp: NsDp<'s>,
-    solver: &'s NsSolver,
-    refinements: usize,
-    state: Option<NsState>,
-}
-
-impl<'s> NsDpObjective<'s> {
-    /// Wraps a solver with `k` refinements per gradient evaluation.
-    pub fn new(solver: &'s NsSolver, refinements: usize) -> Self {
-        NsDpObjective {
-            dp: NsDp::new(solver),
-            solver,
-            refinements,
-            state: None,
-        }
-    }
-}
-
-impl ControlObjective for NsDpObjective<'_> {
-    fn n_controls(&self) -> usize {
-        self.solver.n_controls()
-    }
-    fn cost(&mut self, c: &DVec) -> Result<f64, ControlError> {
-        let st = self
-            .solver
-            .solve(c, self.refinements.max(12), self.state.take())?;
-        let j = self.solver.cost(&st);
-        self.state = Some(st);
-        Ok(j)
-    }
-    fn cost_and_grad(&mut self, c: &DVec) -> Result<(f64, DVec), ControlError> {
-        let (j, g, _, st) = self.dp.run(c, self.refinements, self.state.as_ref())?;
-        self.state = Some(st);
-        Ok((j, g))
-    }
-    fn name(&self) -> &str {
-        "navier-stokes-dp"
-    }
-    fn initial_control(&self) -> DVec {
-        crate::ns::initial_control(self.solver)
     }
 }
 
@@ -834,9 +799,9 @@ impl RunSpec {
         }
     }
 
-    /// Builder for a Navier–Stokes run (defaults mirror
-    /// `NsRunConfig::default()`: `h = 0.15`, `Re = 50`, DP, 60 iterations,
-    /// `lr = 1e-1`).
+    /// Builder for a Navier–Stokes run (defaults: `h = 0.15`, `Re = 50`,
+    /// slot velocity 0.3, 5 refinements, the paper's parabolic initial
+    /// control, DP, 60 iterations, `lr = 1e-1`).
     pub fn navier_stokes() -> RunSpecBuilder {
         RunSpecBuilder {
             spec: RunSpec {
@@ -913,15 +878,7 @@ impl RunSpec {
     /// this first.
     pub fn validate(&self) -> Result<(), ControlError> {
         let bad = |msg: String| Err(ControlError::BadConfig(msg));
-        if self.iterations == 0 {
-            return bad("iterations must be >= 1".into());
-        }
-        if !(self.lr.is_finite() && self.lr > 0.0) {
-            return bad(format!("lr must be finite and positive, got {}", self.lr));
-        }
-        if self.log_every == 0 {
-            return bad("log_every must be >= 1".into());
-        }
+        self.optimize_opts().validate()?;
         if !self.omega.is_finite() || self.omega < 0.0 {
             return bad(format!("omega must be finite and >= 0, got {}", self.omega));
         }
@@ -983,6 +940,16 @@ impl RunSpec {
             }
         }
         Ok(())
+    }
+
+    /// The options of the spec's optimizer loop.
+    fn optimize_opts(&self) -> OptimizeOpts {
+        OptimizeOpts {
+            iterations: self.iterations,
+            lr: self.lr,
+            log_every: self.log_every,
+            optimizer: self.optimizer,
+        }
     }
 }
 
@@ -1347,23 +1314,18 @@ pub fn execute_on(
             execute_laplace_neural_op(p, &surrogate, spec, ctx)
         }
         (Problem::Laplace(p), s) => {
-            let nx = match spec.problem {
-                ProblemSpec::Laplace { nx, .. } => nx,
-                _ => return Err(mismatch("Laplace", &spec.problem)),
-            };
-            let cfg = crate::laplace::LaplaceRunConfig {
-                nx,
-                iterations: spec.iterations,
-                lr: spec.lr,
-                log_every: spec.log_every,
-                optimizer: spec.optimizer,
-            };
-            let method = s.grad_method().expect("PINN handled above");
-            let run = crate::laplace::run_ctx(p, &cfg, method, ctx)?;
+            if !matches!(spec.problem, ProblemSpec::Laplace { .. }) {
+                return Err(mismatch("Laplace", &spec.problem));
+            }
+            let _span = trace::span("laplace_control_run");
+            let method = s.grad_method().expect("PINN and NeuralOp handled above");
+            let mut obj = LaplaceObjective::new(p, method, spec.optimizer);
+            let (mut report, control) = optimize_ctx(&mut obj, &spec.optimize_opts(), ctx)?;
+            report.problem = "laplace".to_string();
             Ok(SpecRun {
                 spec_id: spec.id(),
-                report: run.report,
-                control: run.control,
+                report,
+                control,
                 ns_state: None,
             })
         }
@@ -1377,20 +1339,16 @@ pub fn execute_on(
                 } => (refinements, initial_scale),
                 _ => return Err(mismatch("NavierStokes", &spec.problem)),
             };
-            let cfg = crate::ns::NsRunConfig {
-                iterations: spec.iterations,
-                refinements,
-                lr: spec.lr,
-                log_every: spec.log_every,
-                initial_scale,
-            };
+            let _span = trace::span("ns_control_run");
             let method = s.grad_method().expect("PINN handled above");
-            let run = crate::ns::run_ctx(solver, &cfg, method, ctx)?;
+            let mut obj = NsObjective::new(solver, method, refinements, initial_scale);
+            let (mut report, control) = optimize_ctx(&mut obj, &spec.optimize_opts(), ctx)?;
+            report.problem = "navier-stokes".to_string();
             Ok(SpecRun {
                 spec_id: spec.id(),
-                report: run.report,
-                control: run.control,
-                ns_state: Some(run.state),
+                report,
+                control,
+                ns_state: obj.into_state(),
             })
         }
         (Problem::Synthetic, _) => {
@@ -1402,13 +1360,7 @@ pub fn execute_on(
                 _ => return Err(mismatch("Synthetic", &spec.problem)),
             };
             let mut obj = SyntheticObjective::new(n, spec.seed, ctx.attempt < fail_attempts);
-            let opts = OptimizeOpts {
-                iterations: spec.iterations,
-                lr: spec.lr,
-                log_every: spec.log_every,
-                optimizer: spec.optimizer,
-            };
-            let (mut report, control) = optimize_ctx(&mut obj, &opts, ctx)?;
+            let (mut report, control) = optimize_ctx(&mut obj, &spec.optimize_opts(), ctx)?;
             report.problem = "synthetic".to_string();
             report.method = spec.strategy.name().to_string();
             Ok(SpecRun {
@@ -1457,13 +1409,7 @@ fn execute_laplace_neural_op(
 ) -> Result<SpecRun, ControlError> {
     let timer = Timer::start();
     let mut obj = SurrogateObjective::new(surrogate);
-    let opts = OptimizeOpts {
-        iterations: spec.iterations,
-        lr: spec.lr,
-        log_every: spec.log_every,
-        optimizer: spec.optimizer,
-    };
-    let (mut report, control) = optimize_ctx(&mut obj, &opts, ctx)?;
+    let (mut report, control) = descend(&mut obj, &spec.optimize_opts(), ctx)?;
     // Referee: re-solve the PDE with the surrogate's control — the
     // solver-side score, independent of how well the network fit.
     let audited = p.cost(&control)?;
@@ -1609,7 +1555,7 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn generic_driver_matches_the_specific_laplace_driver() {
+    fn optimize_on_the_laplace_objective_matches_execute() {
         let p = LaplaceControlProblem::new(12).unwrap();
         let opts = OptimizeOpts {
             iterations: 60,
@@ -1617,29 +1563,28 @@ mod tests {
             log_every: 10,
             ..Default::default()
         };
-        let (rep_gen, c_gen) = optimize(&mut LaplaceDpObjective(&p), &opts).unwrap();
-        let spec = crate::laplace::run_ctx(
-            &p,
-            &crate::laplace::LaplaceRunConfig {
-                nx: 12,
-                iterations: 60,
-                lr: 1e-2,
-                log_every: 10,
-                ..Default::default()
-            },
-            crate::laplace::GradMethod::Dp,
-            &RunCtx::unchecked(),
-        )
-        .unwrap();
-        assert!(
-            (rep_gen.final_cost - spec.report.final_cost).abs()
-                < 1e-12 * (1.0 + spec.report.final_cost.abs()),
-            "generic {} vs specific {}",
-            rep_gen.final_cost,
-            spec.report.final_cost
-        );
-        for i in 0..c_gen.len() {
-            assert!((c_gen[i] - spec.control[i]).abs() < 1e-12);
+        for strategy in [Strategy::Dal, Strategy::Dp, Strategy::FiniteDiff] {
+            let method = strategy.grad_method().unwrap();
+            let mut obj = LaplaceObjective::new(&p, method, opts.optimizer);
+            let (rep_gen, c_gen) = optimize(&mut obj, &opts).unwrap();
+            let spec = RunSpec::laplace()
+                .nx(12)
+                .strategy(strategy)
+                .iterations(60)
+                .lr(1e-2)
+                .log_every(10)
+                .build();
+            let spec = execute(&spec).unwrap();
+            assert!(
+                (rep_gen.final_cost - spec.report.final_cost).abs()
+                    < 1e-12 * (1.0 + spec.report.final_cost.abs()),
+                "generic {} vs specific {}",
+                rep_gen.final_cost,
+                spec.report.final_cost
+            );
+            for i in 0..c_gen.len() {
+                assert!((c_gen[i] - spec.control[i]).abs() < 1e-12);
+            }
         }
     }
 
@@ -1652,7 +1597,7 @@ mod tests {
             .build();
         // Laplace DAL.
         let lp = LaplaceControlProblem::new(10).unwrap();
-        let mut dal = LaplaceDalObjective(&lp);
+        let mut dal = LaplaceObjective::new(&lp, GradMethod::Dal, OptimizerKind::Adam);
         let j0 = dal.cost(&dal.initial_control()).unwrap();
         let (rep, _) = optimize(&mut dal, &opts).unwrap();
         assert!(rep.final_cost < j0, "DAL objective failed to descend");
@@ -1796,28 +1741,141 @@ mod tests {
     }
 
     #[test]
-    fn execute_laplace_matches_the_legacy_entry_point() {
+    fn execute_laplace_matches_optimize_on_the_objective() {
         let spec = RunSpec::laplace().nx(12).iterations(60).build();
         let run = execute(&spec).unwrap();
         let p = LaplaceControlProblem::new(12).unwrap();
-        let legacy = crate::laplace::run_ctx(
-            &p,
-            &crate::laplace::LaplaceRunConfig {
-                nx: 12,
-                iterations: 60,
-                lr: 1e-2,
-                log_every: 10,
-                ..Default::default()
-            },
-            GradMethod::Dp,
-            &RunCtx::unchecked(),
-        )
-        .unwrap();
-        assert_eq!(run.report.final_cost, legacy.report.final_cost);
+        let opts = OptimizeOpts {
+            iterations: 60,
+            lr: 1e-2,
+            log_every: 10,
+            ..Default::default()
+        };
+        let mut obj = LaplaceObjective::new(&p, GradMethod::Dp, OptimizerKind::Adam);
+        let (report, control) = optimize(&mut obj, &opts).unwrap();
+        assert_eq!(run.report.final_cost, report.final_cost);
         assert_eq!(run.report.method, "DP");
         assert_eq!(run.report.problem, "laplace");
         for i in 0..run.control.len() {
-            assert_eq!(run.control[i], legacy.control[i]);
+            assert_eq!(run.control[i], control[i]);
+        }
+    }
+
+    #[test]
+    fn optimize_rejects_options_the_loop_cannot_run() {
+        let mut obj = SyntheticObjective::new(3, 0, false);
+        for (opts, field) in [
+            (
+                OptimizeOpts {
+                    log_every: 0,
+                    ..Default::default()
+                },
+                "log_every",
+            ),
+            (
+                OptimizeOpts {
+                    iterations: 0,
+                    ..Default::default()
+                },
+                "iterations",
+            ),
+            (
+                OptimizeOpts {
+                    lr: f64::INFINITY,
+                    ..Default::default()
+                },
+                "lr",
+            ),
+            (
+                OptimizeOpts {
+                    lr: 0.0,
+                    ..Default::default()
+                },
+                "lr",
+            ),
+        ] {
+            match optimize(&mut obj, &opts) {
+                Err(ControlError::BadConfig(msg)) => assert!(msg.contains(field), "{msg}"),
+                other => panic!("expected BadConfig, got {:?}", other.map(|_| ())),
+            }
+        }
+    }
+
+    /// `J = ½‖c‖²` from `c ≡ 1`, whose gradient turns infinite at
+    /// iteration `blow_up`; counts its gradient evaluations.
+    struct BlowsUp {
+        blow_up: usize,
+        grad_calls: usize,
+    }
+
+    impl ControlObjective for BlowsUp {
+        fn n_controls(&self) -> usize {
+            2
+        }
+        fn cost(&mut self, c: &DVec) -> Result<f64, ControlError> {
+            Ok(0.5 * c.iter().map(|x| x * x).sum::<f64>())
+        }
+        fn cost_and_grad(&mut self, c: &DVec) -> Result<(f64, DVec), ControlError> {
+            let mut g = c.clone();
+            if self.grad_calls == self.blow_up {
+                g[0] = f64::INFINITY;
+            }
+            self.grad_calls += 1;
+            Ok((self.cost(c)?, g))
+        }
+        fn initial_control(&self) -> DVec {
+            DVec::from_fn(2, |_| 1.0)
+        }
+    }
+
+    #[test]
+    fn a_non_finite_step_freezes_every_objective() {
+        let opts = OptimizeOpts {
+            iterations: 10,
+            log_every: 1,
+            ..Default::default()
+        };
+        let mut obj = BlowsUp {
+            blow_up: 3,
+            grad_calls: 0,
+        };
+        match optimize_ctx(&mut obj, &opts, &RunCtx::new()) {
+            Err(ControlError::Diverged { cost, .. }) => assert!(!cost.is_finite()),
+            other => panic!("expected Diverged, got {:?}", other.map(|_| ())),
+        }
+        // Iterations 0..=3 took a gradient; the step after the infinite
+        // one left the control non-finite and nothing was asked after it.
+        assert_eq!(obj.grad_calls, 4);
+    }
+
+    fn ns_tiny(strategy: Strategy) -> RunSpec {
+        RunSpec::navier_stokes()
+            .resolution(0.3)
+            .strategy(strategy)
+            .iterations(2)
+            .refinements(2)
+            .build()
+    }
+
+    #[test]
+    fn execute_ns_scores_the_returned_state() {
+        let built = BuiltProblem::build(&ns_tiny(Strategy::Dp).problem).unwrap();
+        let Problem::NavierStokes(solver) = built.as_problem() else {
+            panic!("a Navier-Stokes build");
+        };
+        for strategy in [Strategy::Dal, Strategy::Dp, Strategy::FiniteDiff] {
+            let run = execute(&ns_tiny(strategy)).unwrap();
+            assert_eq!(run.report.method, strategy.name());
+            assert_eq!(run.report.problem, "navier-stokes");
+            assert!(run.report.final_cost.is_finite());
+            assert!(!run.control.has_non_finite());
+            let state = run.ns_state.expect("the scored flow state");
+            assert_eq!(
+                solver.cost(&state).to_bits(),
+                run.report.final_cost.to_bits(),
+                "{}: the returned state is not the one scored",
+                strategy.name()
+            );
         }
     }
 

@@ -1,26 +1,25 @@
-//! Laplace optimal-control drivers (paper §3.1, figs. 3a/3b, Table 1).
+//! The Laplace control objective (paper §3.1, figs. 3a/3b, Table 1).
 //!
-//! All three gradient sources — DAL (hand-derived adjoint), DP (tape through
-//! the solver) and central finite differences — are driven by the *same*
-//! Adam loop with the paper's learning-rate schedule (Table 1: initial rate
-//! `1e-2`, ÷10 at 50 % and 75 %), starting from `c ≡ 0` ("initially set to
-//! identically 0").
+//! [`LaplaceObjective`] hands one of three gradient sources — DAL
+//! (hand-derived adjoint), DP (tape through the solver) or central finite
+//! differences — to the one optimizer loop, [`crate::api::optimize_ctx`].
+//! Under the default Adam that loop runs the paper's learning-rate schedule
+//! (Table 1: initial rate `1e-2`, ÷10 at 50 % and 75 %) from `c ≡ 0`
+//! ("initially set to identically 0").
 //!
-//! Beyond the paper, [`LaplaceRunConfig::optimizer`] swaps the update rule
-//! for Newton-CG or L-BFGS. Second-order DP/FD runs draw curvature from
-//! the forward-over-reverse tape
-//! ([`pde::LaplaceControlProblem::cost_grad_hvp`]). DAL runs step on the
+//! Beyond the paper, a second-order optimizer (Newton-CG or L-BFGS) takes
+//! its curvature from [`ControlObjective::hvp`]. DP/FD answer with the
+//! forward-over-reverse tape
+//! ([`pde::LaplaceControlProblem::cost_grad_hvp`]). DAL steps on the
 //! quadrature-weighted adjoint gradient `wᵢ·g(xᵢ)` — the discrete
 //! representation of the L² gradient, on the same scale as the discrete
 //! Hessian (the raw function-space gradient would overshoot a Newton step
-//! by `O(n_c)`) — and take curvature from that same adjoint field (see
-//! `LaplaceOracle`), keeping gradient and Hessian mutually consistent.
+//! by `O(n_c)`) — and takes curvature from that same adjoint field,
+//! keeping gradient and Hessian mutually consistent.
 
-use crate::api::{ControlError, RunCtx};
-use crate::metrics::{ConvergenceHistory, RunReport, Timer};
+use crate::api::{ControlError, ControlObjective};
 use linalg::DVec;
-use meshfree_runtime::trace;
-use opt::{CurvatureOracle, OptimizerKind};
+use opt::OptimizerKind;
 use pde::LaplaceControlProblem;
 
 /// Which gradient feeds the optimizer.
@@ -48,190 +47,147 @@ impl GradMethod {
     }
 }
 
-/// Run configuration (defaults are the laptop-scale version of Table 1).
-#[derive(Debug, Clone)]
-pub struct LaplaceRunConfig {
-    /// Grid resolution per side (paper: 100).
-    pub nx: usize,
-    /// Adam iterations (paper: 500).
-    pub iterations: usize,
-    /// Initial learning rate (Table 1: `1e-2` for DAL and DP).
-    pub lr: f64,
-    /// Record history every `log_every` iterations (plus the last).
-    pub log_every: usize,
-    /// Update rule: Adam (paper-faithful default) or a second-order method
-    /// fed by exact forward-over-reverse Hessian-vector products.
-    pub optimizer: OptimizerKind,
+/// Central-difference step of the [`GradMethod::FiniteDiff`] gradient.
+const FD_STEP: f64 = 1e-6;
+
+/// The dense Laplace control problem as a [`ControlObjective`], with the
+/// gradient of one [`GradMethod`]. Its name is the method's name.
+///
+/// Every query reuses the problem's cached factorization. The curvature
+/// matches the gradient the run steps on — Newton is only consistent when
+/// the curvature is the Jacobian of the *stepped* gradient:
+///
+/// * DP / FD step on the exact discrete gradient, so [`ControlObjective::hvp`]
+///   answers with the exact forward-over-reverse HVP
+///   ([`LaplaceControlProblem::cost_grad_hvp`], the dual tape's paired
+///   `(re, eps)` solves).
+/// * DAL steps on the adjoint gradient, whose boundary components differ
+///   from the discrete gradient by Runge-zone discretisation error (the
+///   gradcheck ladder only aligns them on the mid-wall window). The HVP
+///   differentiates that same adjoint field by central differences — exact
+///   here, since the DAL gradient is affine in the control — so the Newton
+///   system solved is `J_dal p = −g_dal`, whose fixed point is the DAL
+///   stationary point. The pair `c ± h·v` goes through
+///   [`LaplaceControlProblem::cost_and_grad_dal_many`] in one batch.
+pub struct LaplaceObjective<'p> {
+    problem: &'p LaplaceControlProblem,
+    method: GradMethod,
+    /// Quadrature-weight the DAL gradient (second-order runs; see the
+    /// module docs).
+    weighted: bool,
 }
 
-impl Default for LaplaceRunConfig {
-    fn default() -> Self {
-        LaplaceRunConfig {
-            nx: 24,
-            iterations: 300,
-            lr: 1e-2,
-            log_every: 10,
-            optimizer: OptimizerKind::Adam,
+impl<'p> LaplaceObjective<'p> {
+    /// The objective a run with `optimizer` steps on: the DAL gradient is
+    /// quadrature-weighted exactly when `optimizer` is second order.
+    pub fn new(
+        problem: &'p LaplaceControlProblem,
+        method: GradMethod,
+        optimizer: OptimizerKind,
+    ) -> Self {
+        LaplaceObjective {
+            problem,
+            method,
+            weighted: method == GradMethod::Dal && optimizer.is_second_order(),
         }
+    }
+
+    /// The DAL gradient as the run steps on it.
+    fn dal_step_grad(&self, g: DVec) -> DVec {
+        if !self.weighted {
+            return g;
+        }
+        let w = self.problem.quad_weights();
+        DVec::from_fn(g.len(), |i| w[i] * g[i])
     }
 }
 
-/// Outcome of a Laplace control run.
-pub struct LaplaceRun {
-    /// Summary + history.
-    pub report: RunReport,
-    /// The optimized control values at the top-wall nodes.
-    pub control: DVec,
-}
+impl ControlObjective for LaplaceObjective<'_> {
+    fn n_controls(&self) -> usize {
+        self.problem.n_controls()
+    }
 
-/// The curvature oracle a second-order Laplace run hands its optimizer.
-/// Trial costs come from the plain forward solve; the HVP source matches
-/// the gradient the run steps on — Newton is only consistent when the
-/// curvature is the Jacobian of the *stepped* gradient:
-///
-/// * DP / FD runs step on the exact discrete gradient, so the oracle
-///   answers with the exact forward-over-reverse HVP
-///   ([`LaplaceControlProblem::cost_grad_hvp`]).
-/// * DAL runs step on the quadrature-weighted adjoint gradient, whose
-///   boundary components differ from the discrete gradient by Runge-zone
-///   discretisation error (the gradcheck ladder only aligns them on the
-///   mid-wall window). The oracle differentiates that same weighted
-///   adjoint field by central differences — exact here, since the DAL
-///   gradient is affine in the control — so the Newton system solved is
-///   `J_dal p = −g_dal`, whose fixed point is the DAL stationary point.
-///
-/// Every query reuses the problem's cached factorization, and each one
-/// batches its independent solves: the DAL pair `c ± h·v` goes through
-/// [`LaplaceControlProblem::cost_and_grad_dal_many`], the exact HVP through
-/// the dual tape's paired `(re, eps)` solves.
-struct LaplaceOracle<'a> {
-    problem: &'a LaplaceControlProblem,
-    method: GradMethod,
-    x: DVec,
-}
+    fn cost(&mut self, c: &DVec) -> Result<f64, ControlError> {
+        Ok(self.problem.cost(c)?)
+    }
 
-impl CurvatureOracle for LaplaceOracle<'_> {
-    fn hvp(&mut self, v: &DVec) -> Option<DVec> {
-        let hv = match self.method {
+    fn cost_and_grad(&mut self, c: &DVec) -> Result<(f64, DVec), ControlError> {
+        Ok(match self.method {
+            GradMethod::Dal => {
+                let (j, g) = self.problem.cost_and_grad_dal(c)?;
+                (j, self.dal_step_grad(g))
+            }
+            GradMethod::Dp => self.problem.cost_and_grad_dp(c)?,
+            GradMethod::FiniteDiff => self.problem.cost_and_grad_fd(c, FD_STEP)?,
+        })
+    }
+
+    fn name(&self) -> &str {
+        self.method.name()
+    }
+
+    fn hvp(&mut self, c: &DVec, v: &DVec) -> Result<DVec, ControlError> {
+        match self.method {
             GradMethod::Dal => {
                 let h = 1e-5 / (1.0 + v.norm_inf()).max(1.0);
-                let mut cp = self.x.clone();
+                let mut cp = c.clone();
                 cp.axpy(h, v);
-                let mut cm = self.x.clone();
+                let mut cm = c.clone();
                 cm.axpy(-h, v);
                 // Both gradients in one batch: the pair's forward and
                 // adjoint solves each share one sweep over the factors.
-                let pair = self.problem.cost_and_grad_dal_many(&[cp, cm]).ok()?;
-                let (gp, gm) = (&pair[0].1, &pair[1].1);
-                // The weighted DAL gradient is what a second-order DAL run
-                // steps on.
-                let w = self.problem.quad_weights();
-                DVec::from_fn(gp.len(), |i| (w[i] * gp[i] - w[i] * gm[i]) / (2.0 * h))
+                let pair = self.problem.cost_and_grad_dal_many(&[cp, cm])?;
+                let [(_, gp), (_, gm)]: [(f64, DVec); 2] =
+                    pair.try_into().expect("one gradient per control");
+                let (gp, gm) = (self.dal_step_grad(gp), self.dal_step_grad(gm));
+                Ok(DVec::from_fn(gp.len(), |i| (gp[i] - gm[i]) / (2.0 * h)))
             }
             GradMethod::Dp | GradMethod::FiniteDiff => {
-                let (_, _, hv) = self.problem.cost_grad_hvp(&self.x, v).ok()?;
-                hv
+                let (_, _, hv) = self.problem.cost_grad_hvp(c, v)?;
+                Ok(hv)
             }
-        };
-        (!hv.has_non_finite()).then_some(hv)
-    }
-
-    fn cost_at(&mut self, c: &DVec) -> Option<f64> {
-        self.problem.cost(c).ok().filter(|j| j.is_finite())
-    }
-}
-
-/// Runs Adam on the Laplace control problem with the chosen gradient,
-/// under a supervision context (deadline / cancellation / divergence
-/// detection).
-pub fn run_ctx(
-    problem: &LaplaceControlProblem,
-    cfg: &LaplaceRunConfig,
-    method: GradMethod,
-    ctx: &RunCtx,
-) -> Result<LaplaceRun, ControlError> {
-    let _span = trace::span("laplace_control_run");
-    let timer = Timer::start();
-    let n = problem.n_controls();
-    let mut c = DVec::zeros(n);
-    let mut optimizer = cfg.optimizer.build(n, cfg.lr, cfg.iterations);
-    let second_order = optimizer.uses_curvature();
-    let mut oracle = LaplaceOracle {
-        problem,
-        method,
-        x: DVec::zeros(n),
-    };
-    let mut history = ConvergenceHistory::default();
-    let fd_h = 1e-6;
-    for it in 0..cfg.iterations {
-        ctx.check_iteration(it, timer.elapsed_s())?;
-        let (j, g) = match method {
-            GradMethod::Dal => {
-                let (j, g_dal) = problem.cost_and_grad_dal(&c)?;
-                if second_order {
-                    // Quadrature-weight the L² gradient so it lives on the
-                    // discrete Hessian's scale (see module docs).
-                    let w = problem.quad_weights();
-                    (j, DVec::from_fn(n, |i| w[i] * g_dal[i]))
-                } else {
-                    (j, g_dal)
-                }
-            }
-            GradMethod::Dp => problem.cost_and_grad_dp(&c)?,
-            GradMethod::FiniteDiff => problem.cost_and_grad_fd(&c, fd_h)?,
-        };
-        ctx.check_cost(it, j)?;
-        trace::solve_event("control", method.name(), it, f64::NAN, j, g.norm_inf());
-        if it % cfg.log_every == 0 || it + 1 == cfg.iterations {
-            history.push(it, j, g.norm_inf(), timer.elapsed_s());
-        }
-        if second_order {
-            oracle.x.clone_from(&c);
-            optimizer.step_with_curvature(&mut c, j, &g, &mut oracle);
-        } else {
-            optimizer.step(&mut c, &g);
         }
     }
-    let final_cost = problem.cost(&c)?;
-    ctx.check_cost(cfg.iterations, final_cost)?;
-    history.push(cfg.iterations, final_cost, 0.0, timer.elapsed_s());
-    let report = RunReport {
-        method: method.name().to_string(),
-        problem: "laplace".to_string(),
-        iterations: cfg.iterations,
-        final_cost,
-        wall_s: timer.elapsed_s(),
-        peak_bytes: crate::metrics::peak_allocated_bytes(),
-        history,
-    };
-    report.emit_trace();
-    Ok(LaplaceRun { report, control: c })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{optimize, OptimizeOpts};
+    use crate::metrics::RunReport;
     use pde::analytic;
 
-    fn quick_cfg(iterations: usize) -> LaplaceRunConfig {
-        LaplaceRunConfig {
-            nx: 14,
+    /// One run of `method` at `lr = 1e-2`, logging every `log_every`.
+    fn run_with(
+        p: &LaplaceControlProblem,
+        method: GradMethod,
+        optimizer: OptimizerKind,
+        iterations: usize,
+        log_every: usize,
+    ) -> (RunReport, DVec) {
+        let opts = OptimizeOpts {
             iterations,
             lr: 1e-2,
-            log_every: 5,
-            optimizer: OptimizerKind::Adam,
-        }
+            log_every,
+            optimizer,
+        };
+        optimize(&mut LaplaceObjective::new(p, method, optimizer), &opts).unwrap()
+    }
+
+    /// An Adam run logging every 5 iterations.
+    fn run(p: &LaplaceControlProblem, method: GradMethod, iterations: usize) -> RunReport {
+        run_with(p, method, OptimizerKind::Adam, iterations, 5).0
     }
 
     #[test]
     fn dp_drives_cost_down_by_orders_of_magnitude() {
         let p = LaplaceControlProblem::new(14).unwrap();
         let j0 = p.cost(&DVec::zeros(p.n_controls())).unwrap();
-        let run = run_ctx(&p, &quick_cfg(200), GradMethod::Dp, &RunCtx::unchecked()).unwrap();
+        let report = run(&p, GradMethod::Dp, 200);
         assert!(
-            run.report.final_cost < 1e-3 * j0,
+            report.final_cost < 1e-3 * j0,
             "DP: J0 = {j0:.3e} -> {:.3e}",
-            run.report.final_cost
+            report.final_cost
         );
     }
 
@@ -240,18 +196,17 @@ mod tests {
         // Paper fig. 3b / Table 3: DP reaches a far lower cost than DAL at
         // the same iteration count (2.2e-9 vs 4.6e-3 at paper scale).
         let p = LaplaceControlProblem::new(14).unwrap();
-        let cfg = quick_cfg(150);
-        let dp = run_ctx(&p, &cfg, GradMethod::Dp, &RunCtx::unchecked()).unwrap();
-        let dal = run_ctx(&p, &cfg, GradMethod::Dal, &RunCtx::unchecked()).unwrap();
+        let dp = run(&p, GradMethod::Dp, 150);
+        let dal = run(&p, GradMethod::Dal, 150);
         assert!(
-            dp.report.final_cost < 0.5 * dal.report.final_cost,
+            dp.final_cost < 0.5 * dal.final_cost,
             "DP {:.3e} not clearly below DAL {:.3e}",
-            dp.report.final_cost,
-            dal.report.final_cost
+            dp.final_cost,
+            dal.final_cost
         );
         // DAL still descends from the zero-control cost.
         let j0 = p.cost(&DVec::zeros(p.n_controls())).unwrap();
-        assert!(dal.report.final_cost < j0);
+        assert!(dal.final_cost < j0);
     }
 
     #[test]
@@ -259,29 +214,21 @@ mod tests {
         // FD approximates the same discrete gradient as DP; trajectories
         // should end at nearly the same cost.
         let p = LaplaceControlProblem::new(12).unwrap();
-        let cfg = quick_cfg(80);
-        let dp = run_ctx(&p, &cfg, GradMethod::Dp, &RunCtx::unchecked()).unwrap();
-        let fd = run_ctx(&p, &cfg, GradMethod::FiniteDiff, &RunCtx::unchecked()).unwrap();
-        let ratio = fd.report.final_cost / dp.report.final_cost.max(1e-300);
+        let dp = run(&p, GradMethod::Dp, 80);
+        let fd = run(&p, GradMethod::FiniteDiff, 80);
+        let ratio = fd.final_cost / dp.final_cost.max(1e-300);
         assert!(
             (0.2..5.0).contains(&ratio),
             "FD {:.3e} vs DP {:.3e}",
-            fd.report.final_cost,
-            dp.report.final_cost
+            fd.final_cost,
+            dp.final_cost
         );
     }
 
     #[test]
     fn dp_recovers_the_analytic_minimiser_shape() {
         let p = LaplaceControlProblem::new(16).unwrap();
-        let cfg = LaplaceRunConfig {
-            nx: 16,
-            iterations: 400,
-            lr: 1e-2,
-            log_every: 50,
-            optimizer: OptimizerKind::Adam,
-        };
-        let result = run_ctx(&p, &cfg, GradMethod::Dp, &RunCtx::unchecked()).unwrap();
+        let (_, control) = run_with(&p, GradMethod::Dp, OptimizerKind::Adam, 400, 50);
         // Compare mid-wall control values against the series minimiser
         // (endpoints are polluted by the Runge zone).
         let n = p.n_controls();
@@ -289,29 +236,23 @@ mod tests {
         let mut norm = 0.0;
         for i in n / 4..3 * n / 4 {
             let exact = analytic::series_c_star(p.control_x()[i]);
-            err += (result.control[i] - exact) * (result.control[i] - exact);
+            err += (control[i] - exact) * (control[i] - exact);
             norm += exact * exact;
         }
         let rel = (err / norm).sqrt();
         assert!(rel < 0.25, "control shape error {rel:.3}");
     }
 
-    fn with_optimizer(mut cfg: LaplaceRunConfig, optimizer: OptimizerKind) -> LaplaceRunConfig {
-        cfg.optimizer = optimizer;
-        cfg
-    }
-
     #[test]
     fn newton_cg_dp_matches_adam_cost_in_far_fewer_iterations() {
         let p = LaplaceControlProblem::new(14).unwrap();
-        let adam = run_ctx(&p, &quick_cfg(200), GradMethod::Dp, &RunCtx::unchecked()).unwrap();
-        let cfg = with_optimizer(quick_cfg(10), OptimizerKind::NewtonCg);
-        let newton = run_ctx(&p, &cfg, GradMethod::Dp, &RunCtx::unchecked()).unwrap();
+        let adam = run(&p, GradMethod::Dp, 200);
+        let (newton, _) = run_with(&p, GradMethod::Dp, OptimizerKind::NewtonCg, 10, 5);
         assert!(
-            newton.report.final_cost <= adam.report.final_cost,
+            newton.final_cost <= adam.final_cost,
             "Newton-CG at 10 iters ({:.3e}) should beat Adam at 200 ({:.3e})",
-            newton.report.final_cost,
-            adam.report.final_cost
+            newton.final_cost,
+            adam.final_cost
         );
     }
 
@@ -321,14 +262,13 @@ mod tests {
         // discrete curvature reaches the Adam-DAL cost floor in a handful
         // of outer iterations.
         let p = LaplaceControlProblem::new(14).unwrap();
-        let adam = run_ctx(&p, &quick_cfg(150), GradMethod::Dal, &RunCtx::unchecked()).unwrap();
-        let cfg = with_optimizer(quick_cfg(10), OptimizerKind::NewtonCg);
-        let newton = run_ctx(&p, &cfg, GradMethod::Dal, &RunCtx::unchecked()).unwrap();
+        let adam = run(&p, GradMethod::Dal, 150);
+        let (newton, _) = run_with(&p, GradMethod::Dal, OptimizerKind::NewtonCg, 10, 5);
         assert!(
-            newton.report.final_cost <= adam.report.final_cost,
+            newton.final_cost <= adam.final_cost,
             "Newton-CG DAL at 10 iters ({:.3e}) vs Adam DAL at 150 ({:.3e})",
-            newton.report.final_cost,
-            adam.report.final_cost
+            newton.final_cost,
+            adam.final_cost
         );
     }
 
@@ -336,12 +276,11 @@ mod tests {
     fn lbfgs_dp_descends_orders_of_magnitude() {
         let p = LaplaceControlProblem::new(14).unwrap();
         let j0 = p.cost(&DVec::zeros(p.n_controls())).unwrap();
-        let cfg = with_optimizer(quick_cfg(40), OptimizerKind::Lbfgs);
-        let run = run_ctx(&p, &cfg, GradMethod::Dp, &RunCtx::unchecked()).unwrap();
+        let (report, _) = run_with(&p, GradMethod::Dp, OptimizerKind::Lbfgs, 40, 5);
         assert!(
-            run.report.final_cost < 1e-3 * j0,
+            report.final_cost < 1e-3 * j0,
             "L-BFGS: J0 = {j0:.3e} -> {:.3e}",
-            run.report.final_cost
+            report.final_cost
         );
     }
 
@@ -355,10 +294,8 @@ mod tests {
         // this test is meant to protect.
         let p = LaplaceControlProblem::new(12).unwrap();
         for kind in [OptimizerKind::NewtonCg, OptimizerKind::Lbfgs] {
-            let mut cfg = with_optimizer(quick_cfg(15), kind);
-            cfg.log_every = 1;
-            let run = run_ctx(&p, &cfg, GradMethod::Dp, &RunCtx::unchecked()).unwrap();
-            let h = &run.report.history.entries;
+            let (report, _) = run_with(&p, GradMethod::Dp, kind, 15, 1);
+            let h = &report.history.entries;
             for pair in h.windows(2) {
                 assert!(
                     pair[1].cost <= pair[0].cost * (1.0 + 1e-12) + 1e-18,
@@ -374,8 +311,8 @@ mod tests {
     #[test]
     fn history_is_recorded_and_monotone_enough() {
         let p = LaplaceControlProblem::new(12).unwrap();
-        let result = run_ctx(&p, &quick_cfg(60), GradMethod::Dp, &RunCtx::unchecked()).unwrap();
-        let h = &result.report.history;
+        let report = run(&p, GradMethod::Dp, 60);
+        let h = &report.history;
         assert!(h.entries.len() >= 10);
         // Final entries should be far below the first.
         assert!(h.final_cost() < 0.1 * h.entries[0].cost);

@@ -1,60 +1,21 @@
-//! Navier–Stokes optimal-control drivers (paper §3.2, fig. 4, Table 2).
+//! The Navier–Stokes control objective (paper §3.2, fig. 4, Table 2).
 //!
-//! The Adam loop (Table 2: initial rate `1e-1`, 350 iterations at paper
-//! scale) warm-starts the flow state across optimization iterations — this
-//! is what makes small refinement counts (`k = 3` for DAL, `k = 10` for DP)
-//! meaningful: the forward solution tracks the slowly-moving control.
-//! The initial guess for the inflow control is the parabolic profile
-//! `4y(L−y)/L²`, exactly as in the paper.
+//! [`NsObjective`] hands the one optimizer loop,
+//! [`crate::api::optimize_ctx`], the DAL, DP or finite-difference gradient
+//! of the inflow-control cost. Under Adam (Table 2: initial rate `1e-1`,
+//! 350 iterations at paper scale) it warm-starts the flow state across
+//! optimization iterations — this is what makes small refinement counts
+//! (`k = 3` for DAL, `k = 10` for DP) meaningful: the forward solution
+//! tracks the slowly-moving control. The initial guess for the inflow
+//! control is the parabolic profile `4y(L−y)/L²`, exactly as in the paper.
 
-use crate::api::{ControlError, RunCtx};
+use crate::api::{ControlError, ControlObjective};
 use crate::laplace::GradMethod;
-use crate::metrics::{ConvergenceHistory, RunReport, Timer};
 use linalg::DVec;
-use meshfree_runtime::trace;
-use opt::{Adam, Optimizer, Schedule};
 use pde::analytic::poiseuille;
 use pde::ns_adjoint::NsAdjoint;
 use pde::ns_dp::NsDp;
-use pde::{NsSolver, NsState};
-
-/// Run configuration (defaults are the laptop-scale version of Table 2).
-#[derive(Debug, Clone)]
-pub struct NsRunConfig {
-    /// Adam iterations (paper: 350).
-    pub iterations: usize,
-    /// Refinements per gradient evaluation (paper: 3 for DAL, 10 for DP).
-    pub refinements: usize,
-    /// Initial learning rate (Table 2: `1e-1`).
-    pub lr: f64,
-    /// Record history every `log_every` iterations (plus the last).
-    pub log_every: usize,
-    /// Scale applied to the initial parabolic control (1 = the paper's
-    /// initial guess; < 1 starts from a deliberately poor control).
-    pub initial_scale: f64,
-}
-
-impl Default for NsRunConfig {
-    fn default() -> Self {
-        NsRunConfig {
-            iterations: 60,
-            refinements: 5,
-            lr: 1e-1,
-            log_every: 5,
-            initial_scale: 1.0,
-        }
-    }
-}
-
-/// Outcome of a Navier–Stokes control run.
-pub struct NsRun {
-    /// Summary + history.
-    pub report: RunReport,
-    /// Optimized inflow control at the inflow nodes (sorted by `y`).
-    pub control: DVec,
-    /// Final flow state.
-    pub state: NsState,
-}
+use pde::{NsSolver, NsState, NsWorkspace};
 
 /// The paper's initial control: the parabolic profile.
 pub fn initial_control(solver: &NsSolver) -> DVec {
@@ -68,86 +29,116 @@ pub fn initial_control(solver: &NsSolver) -> DVec {
     )
 }
 
-/// Runs Adam on the Navier–Stokes control problem with the chosen
-/// gradient, under a supervision context (deadline / cancellation /
-/// divergence detection).
-pub fn run_ctx(
-    solver: &NsSolver,
-    cfg: &NsRunConfig,
+/// The Navier–Stokes inflow-control problem as a [`ControlObjective`], with
+/// the gradient of one [`GradMethod`]. Its name is the method's name.
+///
+/// The objective carries the run's state between calls: the warm-started
+/// flow field, one `(3N)²` matrix + LU storage recycled across every Picard
+/// sweep and adjoint solve (see [`NsWorkspace`]), and the peak tape bytes
+/// of the DP gradients. [`ControlObjective::cost`] solves from the warm
+/// state with at least 12 refinements — the converged score of a run's
+/// final control — and keeps the state it scored, which
+/// [`NsObjective::into_state`] returns. Runs are Adam only
+/// ([`crate::api::RunSpec::validate`] rejects second-order NS specs): the
+/// default [`ControlObjective::hvp`] would move the warm state.
+pub struct NsObjective<'s> {
+    solver: &'s NsSolver,
     method: GradMethod,
-    ctx: &RunCtx,
-) -> Result<NsRun, ControlError> {
-    let _span = trace::span("ns_control_run");
-    let timer = Timer::start();
-    let n = solver.n_controls();
-    let mut c = initial_control(solver).scaled(cfg.initial_scale);
-    let mut adam = Adam::new(n, Schedule::paper_decay(cfg.lr, cfg.iterations));
-    let mut history = ConvergenceHistory::default();
-    let mut state: Option<NsState> = None;
-    let dp = NsDp::new(solver);
-    let dal = NsAdjoint::new(solver);
-    // One (3N)² matrix + LU storage recycled across every Picard sweep and
-    // adjoint solve of the run (see `pde::NsWorkspace`).
-    let mut ws = solver.workspace();
-    let mut peak_tape = 0usize;
-    for it in 0..cfg.iterations {
-        ctx.check_iteration(it, timer.elapsed_s())?;
-        let (j, g) = match method {
+    refinements: usize,
+    initial_scale: f64,
+    dp: NsDp<'s>,
+    dal: NsAdjoint<'s>,
+    ws: NsWorkspace,
+    state: Option<NsState>,
+    peak_tape: usize,
+}
+
+impl<'s> NsObjective<'s> {
+    /// `refinements` Picard sweeps per gradient evaluation (paper: 3 for
+    /// DAL, 10 for DP), starting from the parabolic control scaled by
+    /// `initial_scale` (1 = the paper's initial guess; < 1 starts from a
+    /// deliberately poor control).
+    pub fn new(
+        solver: &'s NsSolver,
+        method: GradMethod,
+        refinements: usize,
+        initial_scale: f64,
+    ) -> Self {
+        NsObjective {
+            solver,
+            method,
+            refinements,
+            initial_scale,
+            dp: NsDp::new(solver),
+            dal: NsAdjoint::new(solver),
+            ws: solver.workspace(),
+            state: None,
+            peak_tape: 0,
+        }
+    }
+
+    /// The flow state of the last solve: after a run, the state its final
+    /// cost was scored on.
+    pub fn into_state(self) -> Option<NsState> {
+        self.state
+    }
+}
+
+impl ControlObjective for NsObjective<'_> {
+    fn n_controls(&self) -> usize {
+        self.solver.n_controls()
+    }
+
+    fn cost(&mut self, c: &DVec) -> Result<f64, ControlError> {
+        let k = self.refinements.max(12);
+        let st = self
+            .solver
+            .solve_with(c, k, self.state.take(), &mut self.ws)?;
+        let j = self.solver.cost(&st);
+        self.state = Some(st);
+        Ok(j)
+    }
+
+    fn cost_and_grad(&mut self, c: &DVec) -> Result<(f64, DVec), ControlError> {
+        let k = self.refinements;
+        Ok(match self.method {
             GradMethod::Dp => {
-                let (j, g, stats, st) = dp.run(&c, cfg.refinements, state.as_ref())?;
-                peak_tape = peak_tape.max(stats.tape_bytes);
-                state = Some(st);
+                let (j, g, stats, st) = self.dp.run(c, k, self.state.as_ref())?;
+                self.peak_tape = self.peak_tape.max(stats.tape_bytes);
+                self.state = Some(st);
                 (j, g)
             }
             GradMethod::Dal => {
                 let (j, g, st) =
-                    dal.cost_and_grad_with(&c, cfg.refinements, state.take(), &mut ws)?;
-                state = Some(st);
+                    self.dal
+                        .cost_and_grad_with(c, k, self.state.take(), &mut self.ws)?;
+                self.state = Some(st);
                 (j, g)
             }
-            GradMethod::FiniteDiff => {
-                // FD must use cold starts per perturbation for a consistent
-                // J(c); warm-start only the reference trajectory.
-                let (j, g) = dp.cost_and_grad_fd(&c, cfg.refinements.max(8), 1e-6)?;
-                (j, g)
-            }
-        };
-        ctx.check_cost(it, j)?;
-        trace::solve_event("control", method.name(), it, f64::NAN, j, g.norm_inf());
-        if it % cfg.log_every == 0 || it + 1 == cfg.iterations {
-            history.push(it, j, g.norm_inf(), timer.elapsed_s());
-        }
-        adam.step(&mut c, &g);
-        if c.has_non_finite() {
-            // DAL at high Re can blow up (the paper's fig. 4b); freeze here.
-            break;
-        }
+            // FD must use cold starts per perturbation for a consistent
+            // J(c), so it neither reads nor updates the warm state.
+            GradMethod::FiniteDiff => self.dp.cost_and_grad_fd(c, k.max(8), 1e-6)?,
+        })
     }
-    // Evaluate the final control from a converged cold start.
-    let final_state = solver.solve_with(&c, cfg.refinements.max(12), state, &mut ws)?;
-    let final_cost = solver.cost(&final_state);
-    ctx.check_cost(cfg.iterations, final_cost)?;
-    history.push(cfg.iterations, final_cost, 0.0, timer.elapsed_s());
-    let report = RunReport {
-        method: method.name().to_string(),
-        problem: "navier-stokes".to_string(),
-        iterations: cfg.iterations,
-        final_cost,
-        wall_s: timer.elapsed_s(),
-        peak_bytes: peak_tape.max(crate::metrics::peak_allocated_bytes()),
-        history,
-    };
-    report.emit_trace();
-    Ok(NsRun {
-        report,
-        control: c,
-        state: final_state,
-    })
+
+    fn name(&self) -> &str {
+        self.method.name()
+    }
+
+    fn initial_control(&self) -> DVec {
+        initial_control(self.solver).scaled(self.initial_scale)
+    }
+
+    fn peak_bytes(&self) -> usize {
+        self.peak_tape
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{optimize, OptimizeOpts};
+    use crate::metrics::RunReport;
     use geometry::generators::ChannelConfig;
     use pde::NsConfig;
 
@@ -164,14 +155,18 @@ mod tests {
         .unwrap()
     }
 
-    fn quick() -> NsRunConfig {
-        NsRunConfig {
+    /// A quick Adam run (25 iterations, 4 refinements, `lr = 5e-2`) and
+    /// the flow state its final cost was scored on.
+    fn run(s: &NsSolver, method: GradMethod, initial_scale: f64) -> (RunReport, NsState) {
+        let opts = OptimizeOpts {
             iterations: 25,
-            refinements: 4,
             lr: 5e-2,
             log_every: 5,
-            initial_scale: 1.0,
-        }
+            ..Default::default()
+        };
+        let mut obj = NsObjective::new(s, method, 4, initial_scale);
+        let (report, _) = optimize(&mut obj, &opts).unwrap();
+        (report, obj.into_state().expect("a scored state"))
     }
 
     #[test]
@@ -180,11 +175,11 @@ mod tests {
         let c0 = initial_control(&s);
         let st0 = s.solve(&c0, 12, None).unwrap();
         let j0 = s.cost(&st0);
-        let result = run_ctx(&s, &quick(), GradMethod::Dp, &RunCtx::unchecked()).unwrap();
+        let (report, _) = run(&s, GradMethod::Dp, 1.0);
         assert!(
-            result.report.final_cost < 0.6 * j0,
+            report.final_cost < 0.6 * j0,
             "DP did not improve: {j0:.3e} -> {:.3e}",
-            result.report.final_cost
+            report.final_cost
         );
     }
 
@@ -197,15 +192,11 @@ mod tests {
         let c0 = initial_control(&s).scaled(0.3);
         let st0 = s.solve(&c0, 12, None).unwrap();
         let j0 = s.cost(&st0);
-        let cfg = NsRunConfig {
-            initial_scale: 0.3,
-            ..quick()
-        };
-        let result = run_ctx(&s, &cfg, GradMethod::Dal, &RunCtx::unchecked()).unwrap();
+        let (report, _) = run(&s, GradMethod::Dal, 0.3);
         assert!(
-            result.report.final_cost < 0.7 * j0,
+            report.final_cost < 0.7 * j0,
             "DAL did not descend from a poor control: {j0:.3e} -> {:.3e}",
-            result.report.final_cost
+            report.final_cost
         );
     }
 
@@ -218,36 +209,35 @@ mod tests {
         let c0 = initial_control(&s);
         let st0 = s.solve(&c0, 12, None).unwrap();
         let j0 = s.cost(&st0);
-        let dal = run_ctx(&s, &quick(), GradMethod::Dal, &RunCtx::unchecked()).unwrap();
-        let dp = run_ctx(&s, &quick(), GradMethod::Dp, &RunCtx::unchecked()).unwrap();
-        assert!(dp.report.final_cost < j0, "DP failed to improve");
+        let (dal, _) = run(&s, GradMethod::Dal, 1.0);
+        let (dp, _) = run(&s, GradMethod::Dp, 1.0);
+        assert!(dp.final_cost < j0, "DP failed to improve");
         assert!(
-            dp.report.final_cost < dal.report.final_cost,
+            dp.final_cost < dal.final_cost,
             "DP {:.3e} should beat DAL {:.3e}",
-            dp.report.final_cost,
-            dal.report.final_cost
+            dp.final_cost,
+            dal.final_cost
         );
     }
 
     #[test]
     fn dp_beats_dal_as_in_fig4b() {
         let s = solver(50.0);
-        let cfg = quick();
-        let dp = run_ctx(&s, &cfg, GradMethod::Dp, &RunCtx::unchecked()).unwrap();
-        let dal = run_ctx(&s, &cfg, GradMethod::Dal, &RunCtx::unchecked()).unwrap();
+        let (dp, _) = run(&s, GradMethod::Dp, 1.0);
+        let (dal, _) = run(&s, GradMethod::Dal, 1.0);
         assert!(
-            dp.report.final_cost <= dal.report.final_cost * 1.01,
+            dp.final_cost <= dal.final_cost * 1.01,
             "DP {:.3e} vs DAL {:.3e}",
-            dp.report.final_cost,
-            dal.report.final_cost
+            dp.final_cost,
+            dal.final_cost
         );
     }
 
     #[test]
     fn optimized_outflow_closer_to_parabola_than_uncontrolled() {
         let s = solver(50.0);
-        let result = run_ctx(&s, &quick(), GradMethod::Dp, &RunCtx::unchecked()).unwrap();
-        let (u_out, _) = s.outflow_profile(&result.state);
+        let (_, state) = run(&s, GradMethod::Dp, 1.0);
+        let (u_out, _) = s.outflow_profile(&state);
         let mut err_opt = 0.0f64;
         for (k, &y) in s.outflow_y().iter().enumerate() {
             err_opt = err_opt.max((u_out[k] - poiseuille(y, 1.0)).abs());

@@ -28,9 +28,10 @@
 //! ```
 //!
 //! `layer` is one of `"linear"` (Krylov iterations), `"pde"` (nonlinear
-//! refinement / mesh-free solve loops), or `"control"` (optimizer
-//! iterations of the DAL/DP/PINN drivers).
+//! refinement / mesh-free solve loops), or `"control"` (iterations of the
+//! control optimizer loop and the PINN trainers).
 
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -192,6 +193,21 @@ pub fn solve_event(
             grad_norm,
         },
     });
+}
+
+/// A `'static` copy of a name known only at run time (a control
+/// objective's label), for the event fields. Each distinct name is leaked
+/// once and reused after, so the memory is bounded by the number of
+/// distinct names a process traces.
+pub fn intern(name: &str) -> &'static str {
+    static NAMES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    let mut names = NAMES.lock().unwrap();
+    if let Some(&known) = names.get(name) {
+        return known;
+    }
+    let leaked: &'static str = Box::leak(name.into());
+    names.insert(leaked);
+    leaked
 }
 
 /// Times a region; records a [`TraceEvent::Span`] when dropped. Inert (no
@@ -514,6 +530,16 @@ mod tests {
     fn lock_registry_for_test() -> std::sync::MutexGuard<'static, ()> {
         static TEST_LOCK: Mutex<()> = Mutex::new(());
         TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    #[test]
+    fn intern_returns_one_copy_per_distinct_name() {
+        let label = format!("objective-{}", 7);
+        let a = intern(&label);
+        let b = intern(&format!("objective-{}", 7));
+        assert_eq!(a, "objective-7");
+        assert!(std::ptr::eq(a, b));
+        assert!(!std::ptr::eq(a, intern("objective-8")));
     }
 
     fn sample_events() -> Vec<TraceEvent> {

@@ -1,15 +1,15 @@
 //! The pluggable control API: run four different problems — dense Laplace
 //! (DP), sparse RBF-FD Laplace, heat-equation terminal control and a
-//! user-defined toy objective — through one generic Adam driver.
+//! user-defined toy objective — through the one optimizer loop.
 //!
 //! ```sh
 //! cargo run --release --example generic_api
 //! ```
 
 use meshfree_oc::control::api::{
-    optimize, ControlError, ControlObjective, HeatObjective, LaplaceDpObjective,
-    LaplaceFdObjective, OptimizeOpts,
+    optimize, ControlError, ControlObjective, HeatObjective, LaplaceFdObjective, OptimizeOpts,
 };
+use meshfree_oc::control::laplace::{GradMethod, LaplaceObjective};
 use meshfree_oc::linalg::DVec;
 use meshfree_oc::pde::heat::{HeatConfig, HeatControlProblem};
 use meshfree_oc::pde::laplace_fd::LaplaceFdProblem;
@@ -54,7 +54,7 @@ fn main() {
 
     // 1. Dense Laplace, DP gradients.
     let lp = LaplaceControlProblem::new(16).expect("laplace");
-    let mut obj = LaplaceDpObjective(&lp);
+    let mut obj = LaplaceObjective::new(&lp, GradMethod::Dp, opts.optimizer);
     let j0 = obj.cost(&obj.initial_control()).expect("cost");
     let (rep, _) = optimize(&mut obj, &opts).expect("run");
     println!(

@@ -20,6 +20,14 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> table3bench smoke (traced replay vs execute_on, bit for bit)"
+# The benchmark is a cargo workspace of its own, so the workspace steps
+# above never build it. Its tiny smoke runs every cell through
+# `execute_on` and checks each cell's traced replay against that run bit
+# for bit, so a change to the optimizer loop that breaks the replay fails
+# here instead of at benchmark time.
+cargo test --release --offline --manifest-path table3bench/Cargo.toml
+
 echo "==> rustdoc (no-deps, deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 

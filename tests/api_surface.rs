@@ -1,26 +1,27 @@
 //! API-surface gate: the supported entry points — `RunSpec` + `execute`,
-//! the per-problem `run_ctx` drivers, and the `IterOpts` builder — must
-//! agree with each other bitwise, so callers can move between layers
+//! `optimize` on the per-problem objectives, and the `IterOpts` builder —
+//! must agree with each other bitwise, so callers can move between layers
 //! without changing results.
 
-use meshfree_oc::control::laplace::{self, GradMethod, LaplaceRunConfig};
-use meshfree_oc::control::ns::{self, NsRunConfig};
-use meshfree_oc::control::{execute, RunCtx, RunSpec};
+use meshfree_oc::control::api::{optimize, OptimizeOpts};
+use meshfree_oc::control::laplace::{GradMethod, LaplaceObjective};
+use meshfree_oc::control::ns::NsObjective;
+use meshfree_oc::control::{execute, OptimizerKind, RunSpec};
 use meshfree_oc::geometry::generators::ChannelConfig;
 use meshfree_oc::linalg::{gmres, DVec, IterOpts, Preconditioner, Triplets};
 use meshfree_oc::pde::{LaplaceControlProblem, NsConfig, NsSolver};
 
 #[test]
-fn laplace_run_ctx_matches_spec_execution_bitwise() {
+fn laplace_objective_matches_spec_execution_bitwise() {
     let problem = LaplaceControlProblem::new(10).unwrap();
-    let cfg = LaplaceRunConfig {
-        nx: 10,
+    let opts = OptimizeOpts {
         iterations: 12,
         lr: 1e-2,
         log_every: 4,
-        ..Default::default()
+        optimizer: OptimizerKind::Adam,
     };
-    let direct = laplace::run_ctx(&problem, &cfg, GradMethod::Dp, &RunCtx::unchecked()).unwrap();
+    let mut obj = LaplaceObjective::new(&problem, GradMethod::Dp, opts.optimizer);
+    let (report, control) = optimize(&mut obj, &opts).unwrap();
     let spec = RunSpec::laplace()
         .nx(10)
         .iterations(12)
@@ -29,11 +30,11 @@ fn laplace_run_ctx_matches_spec_execution_bitwise() {
         .build();
     let via_spec = execute(&spec).unwrap();
     assert_eq!(
-        direct.report.final_cost.to_bits(),
+        report.final_cost.to_bits(),
         via_spec.report.final_cost.to_bits()
     );
-    for i in 0..direct.control.len() {
-        assert_eq!(direct.control[i].to_bits(), via_spec.control[i].to_bits());
+    for i in 0..control.len() {
+        assert_eq!(control[i].to_bits(), via_spec.control[i].to_bits());
     }
 }
 
@@ -76,7 +77,7 @@ fn iter_opts_builder_round_trips_through_readers() {
 }
 
 #[test]
-fn ns_run_ctx_matches_spec_execution_bitwise() {
+fn ns_objective_matches_spec_execution_bitwise() {
     let solver = NsSolver::new(NsConfig {
         channel: ChannelConfig {
             h: 0.2,
@@ -87,14 +88,14 @@ fn ns_run_ctx_matches_spec_execution_bitwise() {
         ..Default::default()
     })
     .unwrap();
-    let cfg = NsRunConfig {
+    let opts = OptimizeOpts {
         iterations: 3,
-        refinements: 2,
         lr: 5e-2,
         log_every: 1,
-        initial_scale: 0.8,
+        optimizer: OptimizerKind::Adam,
     };
-    let direct = ns::run_ctx(&solver, &cfg, GradMethod::Dp, &RunCtx::unchecked()).unwrap();
+    let mut obj = NsObjective::new(&solver, GradMethod::Dp, 2, 0.8);
+    let (report, control) = optimize(&mut obj, &opts).unwrap();
     let spec = RunSpec::navier_stokes()
         .resolution(0.2)
         .reynolds(20.0)
@@ -107,10 +108,10 @@ fn ns_run_ctx_matches_spec_execution_bitwise() {
         .build();
     let via_spec = execute(&spec).unwrap();
     assert_eq!(
-        direct.report.final_cost.to_bits(),
+        report.final_cost.to_bits(),
         via_spec.report.final_cost.to_bits()
     );
-    for i in 0..direct.control.len() {
-        assert_eq!(direct.control[i].to_bits(), via_spec.control[i].to_bits());
+    for i in 0..control.len() {
+        assert_eq!(control[i].to_bits(), via_spec.control[i].to_bits());
     }
 }
